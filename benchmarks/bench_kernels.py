@@ -1,10 +1,18 @@
-"""Benchmark the numba kernels against the pure-numpy fallback.
+"""Benchmark the GF(q) kernels on the backends present, and the bit-packed
+GF(2) path against the backend kernel it replaces at q = 2.
 
-Micro-benchmarks call both backend implementations directly; the end-to-end
-decode benchmark re-runs this interpreter with SNCLAB_BACKEND set so each
-backend is measured as actually dispatched.
+Three micro tables and one end-to-end figure:
 
-Usage: python benchmarks/bench_kernels.py [--quick]
+- backend kernels: each installed backend (numpy always, numba when it is
+  importable) on the shapes the package uses;
+- packed vs generic: ``rref_mod`` and ``rank_mod`` at q = 2 on the
+  decoder-size, population-DE and encoder-system shapes;
+- crossover sweep: packed vs generic RREF over rows x cols at q = 2, the
+  source of ``kernels.GF2_PACKED_MIN_CELLS``;
+- end to end (full mode only): N=48 build+encode+transmit+decode per trial,
+  in a child interpreter per installed backend.
+
+Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--quick]
 """
 
 import argparse
@@ -17,8 +25,16 @@ import numpy as np
 
 from snclab import kernels
 
+RREF = {"numpy": kernels._rref_numpy, "numba": kernels._rref_numba}
+MATMUL = {"numpy": kernels._matmul_numpy, "numba": kernels._matmul_numba}
+BACKENDS = ["numpy"] + (["numba"] if kernels.HAS_NUMBA else [])
 
-def bench(fn, *args, repeat=5, inner=10):
+
+def bench(fn, *args, repeat=5, budget=0.05):
+    """Best per-call time over ``repeat`` batches of about ``budget`` seconds."""
+    t0 = time.perf_counter()
+    fn(*args)  # also compiles a numba kernel outside the timer
+    inner = max(1, int(budget / max(time.perf_counter() - t0, 1e-6)))
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
@@ -28,35 +44,59 @@ def bench(fn, *args, repeat=5, inner=10):
     return best
 
 
-def micro(quick: bool):
-    rng = np.random.default_rng(0)
+def binary(rng, rows, cols):
+    return rng.integers(0, 2, (rows, cols), dtype=np.int64)
+
+
+def backend_table(rng, quick: bool):
     cases = [
-        ("rref 24x72 q2 (decoder-size)", rng.integers(0, 2, (24, 72), dtype=np.int64), 2),
-        ("rref 72x36 q2 (population DE)", rng.integers(0, 2, (72, 36), dtype=np.int64), 2),
-        ("rref 468x864 q2 (encode system)", rng.integers(0, 2, (468, 864), dtype=np.int64), 2),
+        ("rref 24x72 q2 (decoder-size)", binary(rng, 24, 72), 2),
+        ("rref 72x36 q2 (population DE)", binary(rng, 72, 36), 2),
+        ("rref 468x864 q2 (encode system)", binary(rng, 468, 864), 2),
         ("rref 120x240 q3", rng.integers(0, 3, (120, 240), dtype=np.int64), 3),
     ]
     if quick:
         cases = cases[:2]
-    print(f"{'case':36s} {'numba':>12s} {'numpy':>12s} {'speedup':>9s}")
+    print(f"{'backend kernel':36s}" + "".join(f" {b:>12s}" for b in BACKENDS))
     for name, a, q in cases:
-        if kernels.HAS_NUMBA:
-            kernels._rref_numba(a, q)  # compile outside the timer
-            t_nb = bench(kernels._rref_numba, a, q)
-        else:
-            t_nb = float("nan")
-        t_np = bench(kernels._rref_numpy, a, q)
-        print(f"{name:36s} {t_nb * 1e3:10.3f}ms {t_np * 1e3:10.3f}ms {t_np / t_nb:8.1f}x")
+        print(f"{name:36s}" + "".join(f" {bench(RREF[b], a, q) * 1e3:10.3f}ms" for b in BACKENDS))
+    a, b = binary(rng, 36, 36), binary(rng, 36, 36)
+    print(f"{'matmul 36x36 q2':36s}" + "".join(f" {bench(MATMUL[k], a, b, 2) * 1e6:10.1f}us" for k in BACKENDS))
 
-    a = rng.integers(0, 2, (36, 36), dtype=np.int64)
-    b = rng.integers(0, 2, (36, 36), dtype=np.int64)
-    if kernels.HAS_NUMBA:
-        kernels._matmul_numba(a, b, 2)
-        t_nb = bench(kernels._matmul_numba, a, b, 2, inner=100)
-    else:
-        t_nb = float("nan")
-    t_np = bench(kernels._matmul_numpy, a, b, 2, inner=100)
-    print(f"{'matmul 36x36 q2':36s} {t_nb * 1e6:10.1f}us {t_np * 1e6:10.1f}us {t_np / t_nb:8.1f}x")
+
+def packed_table(rng, quick: bool):
+    shapes = [(24, 72), (72, 36)] + ([] if quick else [(468, 864)])
+    print(f"\n{'q=2, ' + kernels.BACKEND + ' backend':20s} {'generic rref':>13s} {'packed rref':>12s} "
+          f"{'speedup':>8s} {'packed rank':>12s}")
+    for rows, cols in shapes:
+        a = binary(rng, rows, cols)
+        t_gen = bench(kernels._rref_impl, a, 2)
+        t_pk = bench(kernels._rref_gf2, a)
+        t_rk = bench(kernels._rank_gf2, a)
+        print(f"{f'{rows}x{cols}':20s} {t_gen * 1e3:11.3f}ms {t_pk * 1e3:10.3f}ms {t_gen / t_pk:7.2f}x "
+              f"{t_rk * 1e3:10.3f}ms")
+
+
+def crossover(rng):
+    """Packed vs generic RREF at q = 2 on square-ish and wide shapes; prints
+    the smallest cell count from which packed wins on every larger shape."""
+    shapes = sorted(
+        {(r, c) for c in (12, 24, 36, 72) for r in (6, 12, 18, 24, 36, 48)},
+        key=lambda s: (s[0] * s[1], s),
+    )
+    print(f"\n{'crossover sweep':20s} {'cells':>6s} {'generic':>10s} {'packed':>10s} {'ratio':>7s}")
+    wins = []
+    for rows, cols in shapes:
+        a = binary(rng, rows, cols)
+        t_gen = bench(kernels._rref_impl, a, 2, budget=0.02)
+        t_pk = bench(kernels._rref_gf2, a, budget=0.02)
+        wins.append((rows * cols, t_pk < t_gen))
+        print(f"{f'{rows}x{cols}':20s} {rows * cols:6d} {t_gen * 1e3:8.3f}ms {t_pk * 1e3:8.3f}ms "
+              f"{t_gen / t_pk:6.2f}x")
+    losses = [cells for cells, won in wins if not won]
+    above = [cells for cells, _ in wins if not losses or cells > max(losses)]
+    print(f"packed wins on every swept shape from {min(above) if above else 'none'} cells up; "
+          f"dispatch constant GF2_PACKED_MIN_CELLS = {kernels.GF2_PACKED_MIN_CELLS}")
 
 
 DECODE_SNIPPET = r"""
@@ -70,7 +110,7 @@ from snclab.decoder import decode, DecoderConfig
 
 p = validate_params(2, 48, Fraction(1, 2), Fraction(1, 3))
 rng = np.random.default_rng([1])
-code = build_code(p, 3, 6, rng)  # warm the jit outside the timer
+code = build_code(p, 3, 6, rng)  # warm any jit outside the timer
 decode(transmit(encode(code, np.zeros(code.info_length(), dtype=np.int64)), p, rng).y,
        code, DecoderConfig(max_iters=20))
 t0 = time.perf_counter()
@@ -87,17 +127,21 @@ print(f"{kernels.BACKEND}: {(time.perf_counter() - t0) / n * 1e3:.1f} ms/trial (
 
 
 def macro():
-    for backend in ("numba", "numpy"):
+    print()
+    for backend in BACKENDS:
         env = dict(os.environ, SNCLAB_BACKEND=backend)
         subprocess.run([sys.executable, "-c", DECODE_SNIPPET], env=env, check=True)
 
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--quick", action="store_true", help="skip the larger cases")
+    ap.add_argument("--quick", action="store_true", help="skip the larger cases and the end-to-end run")
     args = ap.parse_args()
-    print(f"active backend: {kernels.BACKEND}")
-    micro(args.quick)
+    print(f"active backend: {kernels.BACKEND}; installed: {', '.join(BACKENDS)}")
+    rng = np.random.default_rng(0)
+    backend_table(rng, args.quick)
+    packed_table(rng, args.quick)
+    crossover(rng)
     if not args.quick:
         macro()
 

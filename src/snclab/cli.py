@@ -26,12 +26,13 @@ from .channel import brute_force_rank_count, exact_rank_count
 from .decoder import (
     DecoderConfig,
     decode,
+    recover_noise_space,
     span_failure_probability,
     symbol_error_rate,
     wrong_determinations,
 )
 from .degrees import design_rate, edge_to_node, integral_rho, rho_star
-from .ensemble import build_code, encode
+from .ensemble import build_code, constrained_rows, encode, realize_degree_sequence
 from .de import (
     PopulationDeConfig,
     ScalarDeConfig,
@@ -246,19 +247,34 @@ def cmd_de_population(args) -> int:
 
 
 def _run_trial(trial: int, args, params, shared_code) -> dict:
+    # The noise z does not depend on the codeword, so the zero word is sent
+    # first; a code is built, encoded and decoded only when the zero-padded
+    # rows of z span the noise space, with y = x + z being exactly what
+    # transmit(x) returns on the same stream.
+    z = transmit(np.zeros((params.l, params.m), dtype=np.int64), params, _rng(args.seed, 3, trial)).y
+    record = {
+        "trial": trial,
+        "seed": args.seed,
+        "params": f"q={params.q} N={params.N} lambda={params.lam} omega={params.omega} "
+                  f"k={args.k} b={args.b} iters={args.iters}",
+    }
+    w_dim = recover_noise_space(z, params, params.omega).dim
+    if w_dim != params.s:
+        # what decode reports when the noise space is deficient: every
+        # constrained row undetermined, no rounds run
+        n_v = constrained_rows(params)
+        return {**record, "iterations": 0, "noise_ok": False, "noise_dim": w_dim, "fault": False,
+                "determined": 0, "n_rows": n_v, "symbol_errors": n_v, "ser": 1.0, "wrong": 0,
+                "dims": []}
     code = shared_code
     if code is None:
         code = build_code(params, args.k, args.b, _rng(args.seed, 1, trial))
     info = _rng(args.seed, 2, trial).integers(0, params.q, size=code.info_length(), dtype=np.int64)
     x = encode(code, info)
-    out = transmit(x, params, _rng(args.seed, 3, trial))
-    res = decode(out.y, code, DecoderConfig(max_iters=args.iters))
+    res = decode((x + z) % params.q, code, DecoderConfig(max_iters=args.iters))
     ser = symbol_error_rate(res, x)
     return {
-        "trial": trial,
-        "seed": args.seed,
-        "params": f"q={params.q} N={params.N} lambda={params.lam} omega={params.omega} "
-                  f"k={args.k} b={args.b} iters={args.iters}",
+        **record,
         "iterations": res.iterations_used,
         "noise_ok": bool(res.noise_space_ok),
         "noise_dim": int(res.noise_space_dim),
@@ -289,6 +305,9 @@ def cmd_simulate(args) -> int:
             f"warning: design rate {rate} is not below capacity {cap}; "
             "decoding is not expected to succeed\n"
         )
+    # span-failed trials build no code, so check once that these parameters
+    # admit one, as every trial's build_code would
+    realize_degree_sequence(node, constrained_rows(params))
     shared_code = build_code(params, args.k, args.b, _rng(args.seed, 1, 0)) if args.fixed_code else None
 
     records: List[Optional[dict]] = [None] * args.trials

@@ -280,6 +280,18 @@ class LiftedCode:
         return self.n_v * self.params.m - rk
 
 
+def constrained_rows(params: SncParams, omega_prime: Optional[Fraction] = None) -> int:
+    """n_v = (1-omega')*l, the rows a code constrains; its last l*omega' rows
+    are zero.  Raises unless l*omega' is an integer and omega <= omega' < 1."""
+    omega_prime = params.omega if omega_prime is None else Fraction(omega_prime)
+    zero_rows = omega_prime * params.l
+    if zero_rows.denominator != 1:
+        raise ValueError(f"l*omega' = {zero_rows} is not an integer")
+    if not params.omega <= omega_prime < 1:
+        raise ValueError(f"omega' must lie in [omega, 1), got {omega_prime}")
+    return params.l - int(zero_rows)
+
+
 def lift(
     graph: TannerGraph,
     params: SncParams,
@@ -288,12 +300,7 @@ def lift(
 ) -> LiftedCode:
     """Attach independent uniform GL_m(F_q) labels to every edge."""
     omega_prime = params.omega if omega_prime is None else Fraction(omega_prime)
-    zero_rows = omega_prime * params.l
-    if zero_rows.denominator != 1:
-        raise ValueError(f"l*omega' = {zero_rows} is not an integer")
-    if not params.omega <= omega_prime < 1:
-        raise ValueError(f"omega' must lie in [omega, 1), got {omega_prime}")
-    expected_n_v = params.l - int(zero_rows)
+    expected_n_v = constrained_rows(params, omega_prime)
     if graph.n_v != expected_n_v:
         raise ValueError(
             f"graph has {graph.n_v} variables, expected (1-omega')*l = {expected_n_v}"
@@ -318,13 +325,9 @@ def build_code(
     omega_prime: Optional[Fraction] = None,
 ) -> LiftedCode:
     """Degree sequence from rho_star(k, b), configuration-model graph, lift."""
-    omega_prime = params.omega if omega_prime is None else Fraction(omega_prime)
-    n_v_frac = (1 - omega_prime) * params.l
-    if n_v_frac.denominator != 1:
-        raise ValueError(f"(1-omega')*l = {n_v_frac} is not an integer")
-    node = edge_to_node(rho_star(k, b).dist)
-    degrees = realize_degree_sequence(node, int(n_v_frac))
-    graph = sample_tanner_graph(degrees, int(n_v_frac), rng)
+    n_v = constrained_rows(params, omega_prime)
+    degrees = realize_degree_sequence(edge_to_node(rho_star(k, b).dist), n_v)
+    graph = sample_tanner_graph(degrees, n_v, rng)
     return lift(graph, params, rng, omega_prime=omega_prime)
 
 

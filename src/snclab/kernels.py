@@ -1,4 +1,5 @@
-"""Hot GF(q) matrix kernels with a numba backend and a pure-numpy fallback.
+"""Hot GF(q) matrix kernels: a numba backend, a pure-numpy fallback, and a
+bit-packed GF(2) path.
 
 Everything downstream (canonical forms, subspace algebra, encoding, decoding,
 density evolution) funnels its inner loops through the three functions
@@ -15,6 +16,13 @@ environment variable ``SNCLAB_BACKEND``:
     auto   (default) use numba when importable, else numpy
     numba  require the numba backend
     numpy  force the pure-numpy fallback
+
+At q = 2, matrices of at least ``GF2_PACKED_MIN_CELLS`` entries take the
+M4RI-style packed path instead (Albrecht, Bard & Hart, "Algorithm 898", ACM
+TOMS 2010): each row is held as ``uint64`` words and elimination is a row
+XOR from the pivot word onward.  The RREF is canonical, so it returns
+exactly what the backend kernel would; smaller shapes and odd q keep the
+backend kernel, which also serves as the packed path's test oracle.
 
 Matrices are dense ``numpy.int64`` arrays with entries in ``[0, q)`` for a
 prime modulus ``q < 2**16`` (products stay far below int64 overflow).
@@ -167,6 +175,75 @@ else:
     _matmul_impl = _matmul_numpy
 
 
+# ---------------------------------------------------------------------------
+# bit-packed GF(2) path: bit j of a row is bit j % 64 of word j // 64
+# ---------------------------------------------------------------------------
+
+# Smallest rows * cols for which the packed path beats the backend kernel at
+# q = 2.  In repeated runs of the crossover sweep of
+# ``benchmarks/bench_kernels.py`` (numpy backend, numpy 2.4, 2 CPUs) the
+# packed path was at least as fast on every swept shape from 648 cells
+# (18x36) up, with ties at 576 cells and at 12x72, and slower below 576; so
+# 12x36 and the deviation grid's m <= 7 shapes stay on the backend kernel.
+GF2_PACKED_MIN_CELLS = 640
+
+_WORD = np.dtype("<u8")
+_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
+
+
+def _pack_gf2(a: np.ndarray) -> np.ndarray:
+    rows, cols = a.shape
+    n_words = max(1, -(-cols // 64))
+    bits = np.zeros((rows, 64 * n_words), dtype=np.uint8)
+    bits[:, :cols] = a & 1
+    return np.packbits(bits, axis=1, bitorder="little").view(_WORD)
+
+
+def _unpack_gf2(words: np.ndarray, cols: int) -> np.ndarray:
+    return np.unpackbits(words.view(np.uint8), axis=1, count=cols, bitorder="little").astype(DTYPE)
+
+
+def _eliminate_gf2(words: np.ndarray, cols: int, reduce: bool):
+    """Eliminate the packed rows in place, column by column as ``_rref_numpy``
+    does.  Clears each pivot column above the pivot too when ``reduce``."""
+    rows = words.shape[0]
+    pivots = []
+    rank = 0
+    for col in range(cols):
+        if rank == rows:
+            break
+        w = col >> 6
+        column = words[:, w] & _BITS[col & 63]
+        nz = np.flatnonzero(column[rank:])
+        if nz.size == 0:
+            continue
+        p = rank + int(nz[0])
+        if p != rank:
+            words[[rank, p]] = words[[p, rank]]
+            column[p] = column[rank]
+        column[rank] = 0
+        if not reduce:
+            column[:rank] = 0
+        words[np.flatnonzero(column), w:] ^= words[rank, w:]
+        pivots.append(col)
+        rank += 1
+    return rank, pivots
+
+
+def _rref_gf2(a: np.ndarray):
+    words = _pack_gf2(a)
+    rank, pivots = _eliminate_gf2(words, a.shape[1], reduce=True)
+    return _unpack_gf2(words, a.shape[1]), rank, np.array(pivots, dtype=DTYPE)
+
+
+def _rank_gf2(a: np.ndarray) -> int:
+    return _eliminate_gf2(_pack_gf2(a), a.shape[1], reduce=False)[0]
+
+
+def _packed(a: np.ndarray, q: int) -> bool:
+    return q == 2 and a.size >= GF2_PACKED_MIN_CELLS
+
+
 def rref_mod(a: np.ndarray, q: int):
     """Reduced row echelon form of ``a`` over F_q.
 
@@ -174,13 +251,18 @@ def rref_mod(a: np.ndarray, q: int):
     pivots, zeros above and below, pivot columns strictly increasing).
     """
     a = np.ascontiguousarray(a, dtype=DTYPE)
+    if _packed(a, q):
+        return _rref_gf2(a)
     r, rank, piv = _rref_impl(a, q)
     return r, int(rank), piv
 
 
 def rank_mod(a: np.ndarray, q: int) -> int:
     """Rank of ``a`` over F_q."""
-    return rref_mod(a, q)[1]
+    a = np.ascontiguousarray(a, dtype=DTYPE)
+    if _packed(a, q):
+        return _rank_gf2(a)
+    return int(_rref_impl(a, q)[1])
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:

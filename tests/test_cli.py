@@ -1,11 +1,17 @@
 """CLI: schemas, determinism, rational parsing, exit codes."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import snclab.cli as cli
+from snclab.channel import transmit, validate_params
 from snclab.cli import main, parse_rational
+from snclab.decoder import DecoderConfig, decode, symbol_error_rate, wrong_determinations
+from snclab.ensemble import build_code, encode
 
 
 def run_cli(argv, capsys):
@@ -143,6 +149,65 @@ def test_simulate_trial_log_schema(tmp_path, capsys):
         assert rec["wrong"] == 0
 
 
+def _pipeline_record(trial, seed, params, k, b, iters):
+    """One trial record made by build -> encode -> transmit -> decode."""
+    def rng(*key):
+        return np.random.default_rng(np.random.SeedSequence(list(key)))
+
+    code = build_code(params, k, b, rng(seed, 1, trial))
+    x = encode(code, rng(seed, 2, trial).integers(0, params.q, size=code.info_length(), dtype=np.int64))
+    res = decode(transmit(x, params, rng(seed, 3, trial)).y, code, DecoderConfig(max_iters=iters))
+    ser = symbol_error_rate(res, x)
+    return {
+        "trial": trial,
+        "seed": seed,
+        "params": f"q={params.q} N={params.N} lambda={params.lam} omega={params.omega} "
+                  f"k={k} b={b} iters={iters}",
+        "iterations": res.iterations_used,
+        "noise_ok": bool(res.noise_space_ok),
+        "noise_dim": int(res.noise_space_dim),
+        "fault": bool(res.fault),
+        "determined": int(res.determined[: res.n_constrained].sum()),
+        "n_rows": res.n_constrained,
+        "symbol_errors": int(round(ser * res.n_constrained)),
+        "ser": ser,
+        "wrong": wrong_determinations(res, x),
+        "dims": [[s["t"], s["mean_dim"], s["max_dim"], s["determined"]] for s in res.stats],
+    }
+
+
+def test_simulate_skips_codec_on_span_failed_trials(tmp_path, capsys, monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("build_code", "encode", "decode", "transmit"):
+        monkeypatch.setattr(cli, name, counted(name))
+    trials, seed, iters = 12, 3, 10
+    code, _, _ = run_cli(
+        ["simulate", "--q", "2", "--N", "24", "--lambda", "1/2", "--omega", "1/3",
+         "--k", "3", "--b", "6", "--trials", str(trials), "--iters", str(iters),
+         "--seed", str(seed), "--out", str(tmp_path / "s")],
+        capsys,
+    )
+    assert code == 0
+    lines = (tmp_path / "s.trials.jsonl").read_text().splitlines()
+    recovered = sum(json.loads(ln)["noise_ok"] for ln in lines)
+    assert 0 < recovered < trials  # the seed shows both outcomes
+    assert calls == {"build_code": recovered, "encode": recovered, "decode": recovered,
+                     "transmit": trials}
+    params = validate_params(2, 24, Fraction(1, 2), Fraction(1, 3))
+    for i, line in enumerate(lines):
+        assert line == json.dumps(_pipeline_record(i, seed, params, 3, 6, iters), sort_keys=True)
+
+
 def test_oracle_rank_count(tmp_path, capsys):
     code, out, _ = run_cli(["oracle", "--which", "rank-count"], capsys)
     assert code == 0
@@ -167,7 +232,7 @@ def test_oracle_deviation_bounds_small_grid(capsys):
     assert rep["oracles"][0]["cases"] == 2 * sum((m + 1) ** 2 for m in range(1, 7)) * 5
 
 
-def test_validation_exit_codes(capsys):
+def test_validation_exit_codes(tmp_path, capsys):
     code, _, err = run_cli(
         ["simulate", "--q", "2", "--N", "10", "--lambda", "1/3", "--omega", "1/3",
          "--k", "3", "--b", "6"],
@@ -175,6 +240,16 @@ def test_validation_exit_codes(capsys):
     )
     assert code == 1
     assert "not an integer" in err
+    # omega = 1 admits no code; span-failed trials build none, so simulate
+    # must reject the parameters up front
+    code, _, err = run_cli(
+        ["simulate", "--q", "2", "--N", "12", "--lambda", "1/2", "--omega", "1",
+         "--k", "3", "--b", "6", "--trials", "3", "--out", str(tmp_path / "v")],
+        capsys,
+    )
+    assert code == 1
+    assert "omega'" in err
+    assert not (tmp_path / "v.trials.jsonl").exists()
 
 
 def test_float_rates_rejected(capsys):

@@ -1,10 +1,17 @@
-"""Backend parity: the numba kernels and the numpy fallback must agree
-exactly (same elimination order, same canonical results)."""
+"""Kernel equivalence: the numba kernels, the numpy fallback and the
+bit-packed GF(2) path must all return the same canonical RREF, rank and
+pivots; ``_rref_numpy`` is the oracle for the other two."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snclab import kernels
+from snclab.channel import validate_params
+from snclab.ensemble import build_code
 
 
 def _random_cases(rng, n_cases=60):
@@ -80,3 +87,80 @@ def test_matmul_matches_python_ints():
 def test_matmul_shape_mismatch():
     with pytest.raises(ValueError):
         kernels.matmul_mod(np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.int64), 2)
+
+
+def _assert_same_rref(a):
+    r, rank, piv = kernels._rref_numpy(a, 2)
+    r2, rank2, piv2 = kernels._rref_gf2(a)
+    assert rank2 == rank
+    assert r2.dtype == r.dtype and np.array_equal(r2, r)
+    assert piv2.dtype == piv.dtype and np.array_equal(piv2, piv)
+    assert kernels._rank_gf2(a) == rank
+
+
+# column counts on both sides of the 64-bit word boundaries
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(0, 150),
+    cols=st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129]) | st.integers(1, 140),
+    density=st.sampled_from([0.0, 0.03, 0.2, 0.5, 0.9, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_packed_gf2_matches_reference(rows, cols, density, seed):
+    a = (np.random.default_rng(seed).random((rows, cols)) < density).astype(np.int64)
+    _assert_same_rref(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 90),
+    cols=st.sampled_from([63, 64, 65, 127, 128, 129]),
+    rank=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_packed_gf2_low_rank_and_duplicate_rows(rows, cols, rank, seed):
+    # products of thin factors: many dependent rows and non-pivot columns
+    rng = np.random.default_rng(seed)
+    a = (rng.integers(0, 2, (rows, rank)) @ rng.integers(0, 2, (rank, cols))) % 2
+    _assert_same_rref(a)
+    assert kernels.rank_mod(a, 2) == kernels._rref_numpy(a, 2)[1]
+
+
+def test_packed_gf2_on_encoder_system():
+    params = validate_params(2, 72, Fraction(1, 2), Fraction(1, 3))
+    code = build_code(params, 3, 6, np.random.default_rng(5))
+    system = code.constraint_matrix()
+    assert system.shape == (468, 864)
+    _assert_same_rref(system)
+
+
+def test_rank_mod_agrees_with_reference():
+    rng = np.random.default_rng(12)
+    for q in (2, 3, 5):
+        for rows, cols in [(0, 5), (3, 4), (12, 36), (24, 72), (72, 36), (40, 129)]:
+            a = rng.integers(0, q, (rows, cols), dtype=np.int64)
+            assert kernels.rank_mod(a, q) == kernels._rref_numpy(a, q)[1]
+
+
+def test_dispatch_by_field_and_shape(monkeypatch):
+    calls = []
+    monkeypatch.setattr(kernels, "_rref_gf2", lambda a: calls.append(a.shape) or kernels._rref_numpy(a, 2))
+    monkeypatch.setattr(kernels, "_rank_gf2", lambda a: calls.append(a.shape) or kernels._rref_numpy(a, 2)[1])
+    rng = np.random.default_rng(13)
+    big = (40, 72)
+    assert big[0] * big[1] >= kernels.GF2_PACKED_MIN_CELLS
+    for q in (3, 5):
+        a = rng.integers(0, q, big, dtype=np.int64)
+        r, rank, piv = kernels.rref_mod(a, q)
+        want = kernels._rref_impl(a, q)
+        assert np.array_equal(r, want[0]) and rank == want[1] and np.array_equal(piv, want[2])
+        assert kernels.rank_mod(a, q) == want[1]
+    small = rng.integers(0, 2, (12, 36), dtype=np.int64)
+    assert small.size < kernels.GF2_PACKED_MIN_CELLS
+    kernels.rref_mod(small, 2)
+    kernels.rank_mod(small, 2)
+    assert calls == []
+    a = rng.integers(0, 2, big, dtype=np.int64)
+    kernels.rref_mod(a, 2)
+    kernels.rank_mod(a, 2)
+    assert calls == [big, big]
