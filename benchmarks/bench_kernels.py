@@ -1,7 +1,7 @@
 """Benchmark the GF(q) kernels on the backends present, and the bit-packed
 GF(2) path against the backend kernel it replaces at q = 2.
 
-Three micro tables and one end-to-end figure:
+Four micro tables and one end-to-end figure:
 
 - backend kernels: each installed backend (numpy always, numba when it is
   importable) on the shapes the package uses;
@@ -9,6 +9,9 @@ Three micro tables and one end-to-end figure:
   decoder-size, population-DE and encoder-system shapes;
 - crossover sweep: packed vs generic RREF over rows x cols at q = 2, the
   source of ``kernels.GF2_PACKED_MIN_CELLS``;
+- batched rank: ``rank_mod_batch`` on 256 matrices against a ``rank_mod``
+  loop, on the deviation grid's square shapes; at q = 2 also the generic
+  column loop that the one-word packed path replaces;
 - end to end (full mode only): N=48 build+encode+transmit+decode per trial,
   in a child interpreter per installed backend.
 
@@ -99,6 +102,20 @@ def crossover(rng):
           f"dispatch constant GF2_PACKED_MIN_CELLS = {kernels.GF2_PACKED_MIN_CELLS}")
 
 
+def batch_table(rng):
+    print(f"\n{'256 ranks':20s} {'rank_mod loop':>14s} {'batched':>10s} {'speedup':>8s} "
+          f"{'generic batched':>16s}")
+    for q in (2, 3):
+        for n in (7, 12, 20):
+            a = rng.integers(0, q, (256, n, n), dtype=np.int64)
+            t_loop = bench(lambda: [kernels.rank_mod(m, q) for m in a], budget=0.1)
+            t_batch = bench(kernels.rank_mod_batch, a, q)
+            row = f"{f'q={q} {n}x{n}':20s} {t_loop * 1e3:12.3f}ms {t_batch * 1e3:8.3f}ms {t_loop / t_batch:7.1f}x"
+            if q == 2:
+                row += f" {bench(kernels._rank_batch_generic, a, q) * 1e3:14.3f}ms"
+            print(row)
+
+
 DECODE_SNIPPET = r"""
 import time
 import numpy as np
@@ -142,6 +159,7 @@ def main():
     backend_table(rng, args.quick)
     packed_table(rng, args.quick)
     crossover(rng)
+    batch_table(rng)
     if not args.quick:
         macro()
 

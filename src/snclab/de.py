@@ -23,10 +23,13 @@ import mpmath
 import numpy as np
 
 from .degrees import EdgeDegreeDistribution
-from .kernels import DTYPE, rank_mod
+from .kernels import DTYPE, rank_mod, rank_mod_batch
 from .linalg import gaussian_binomial, random_subspace_basis
 
 NOISE_FLOOR = 1e-12
+# Candidate entries sample_intersection_dims draws at once: one block per cell
+# up to m = 20 at 256 samples, and at most 8 MB of int64 at any m.
+_BLOCK_ENTRIES = 1 << 20
 EXACT_DENOM_BITS = 4096
 MP_DPS = 60
 
@@ -262,18 +265,9 @@ def _sample_kernel_dim(
     dims = [d for d in dims if d > 0]
     if not dims or d_cap == 0:
         return 0
-    rows = sum(dims)
-    stack = np.zeros((rows, m), dtype=DTYPE)
-    at = 0
-    for d in dims:
-        stack[at : at + d] = random_subspace_basis(m, d, q, rng)
-        at += d
-    r_sum = rank_mod(stack, q)
-    joint = np.zeros((rows + d_cap, m), dtype=DTYPE)
-    joint[:rows] = stack
-    joint[rows : rows + d_cap, :d_cap] = np.eye(d_cap, dtype=DTYPE)
-    r_joint = rank_mod(joint, q)
-    return r_sum + d_cap - r_joint
+    stack = np.concatenate([random_subspace_basis(m, d, q, rng) for d in dims])
+    # dim(S + V) = d_cap + rank of S outside V's coordinates
+    return rank_mod(stack, q) - rank_mod(stack[:, d_cap:], q)
 
 
 def population_de_run(
@@ -389,16 +383,29 @@ def sample_intersection_dims(
     m: int, d1: int, d2: int, q: int, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
     """dim(V1 ∩ V2) samples with V1 = span of first d1 coordinates and V2
-    uniform of dimension d2."""
-    out = np.empty(trials, dtype=np.int64)
-    for i in range(trials):
-        if d2 == 0:
-            out[i] = 0
-            continue
-        b2 = random_subspace_basis(m, d2, q, rng)
-        # dim(V1 + V2) = d1 + rank of V2's basis outside the first d1 coords
-        out[i] = d2 - rank_mod(b2[:, d1:], q) if d1 < m else d2
-    return out
+    uniform of dimension d2.  The bases are rejection-sampled in blocks that
+    leave the generator where a per-trial ``random_subspace_basis`` loop
+    would, so the samples are that loop's."""
+    if d2 == 0 or trials == 0:
+        return np.zeros(trials, dtype=np.int64)
+    accept = math.prod(1.0 - float(q) ** (i - m) for i in range(d2))
+    cap = max(1, _BLOCK_ENTRIES // (d2 * m))
+    bases = []
+    need = trials
+    while need:
+        # at least the expected candidate count plus three sigmas
+        k = min(math.ceil((need + 3 * math.sqrt(need)) / accept) + 1, cap)
+        state = rng.bit_generator.state
+        block = rng.integers(0, q, size=(k, d2, m), dtype=DTYPE)
+        used = np.flatnonzero(rank_mod_batch(block, q) == d2)[:need]
+        if used.size == need:
+            # draw again only the candidates the loop would have drawn
+            rng.bit_generator.state = state
+            rng.integers(0, q, size=(used[-1] + 1, d2, m), dtype=DTYPE)
+        bases.append(block[used])
+        need -= used.size
+    # dim(V1 + V2) = d1 + rank of V2's basis outside the first d1 coords
+    return d2 - rank_mod_batch(np.concatenate(bases)[:, :, d1:], q)
 
 
 def evaluate_deviation(

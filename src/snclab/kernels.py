@@ -2,11 +2,12 @@
 bit-packed GF(2) path.
 
 Everything downstream (canonical forms, subspace algebra, encoding, decoding,
-density evolution) funnels its inner loops through the three functions
+density evolution) funnels its inner loops through the four functions
 exported here:
 
-    rref_mod(a, q)    -> (rref matrix, rank, pivot columns)
-    rank_mod(a, q)    -> rank
+    rref_mod(a, q)        -> (rref matrix, rank, pivot columns)
+    rank_mod(a, q)        -> rank
+    rank_mod_batch(a, q)  -> ranks of a (B, r, c) stack
     matmul_mod(a, b, q)
 
 Both backends run the same exact integer algorithm and return identical
@@ -23,6 +24,12 @@ TOMS 2010): each row is held as ``uint64`` words and elimination is a row
 XOR from the pivot word onward.  The RREF is canonical, so it returns
 exactly what the backend kernel would; smaller shapes and odd q keep the
 backend kernel, which also serves as the packed path's test oracle.
+
+``rank_mod_batch`` eliminates a whole stack of small matrices at once, one
+column at a time for every matrix together, so thousands of tiny ranks cost a
+few dozen numpy calls instead of thousands.  At q = 2 with at most 64
+columns each row is a single ``uint64`` word; every other stack runs the
+same column loop on integers reduced mod q.  ``rank_mod`` is its oracle.
 
 Matrices are dense ``numpy.int64`` arrays with entries in ``[0, q)`` for a
 prime modulus ``q < 2**16`` (products stay far below int64 overflow).
@@ -263,6 +270,80 @@ def rank_mod(a: np.ndarray, q: int) -> int:
     if _packed(a, q):
         return _rank_gf2(a)
     return int(_rref_impl(a, q)[1])
+
+
+def _rank_batch_gf2(a: np.ndarray) -> np.ndarray:
+    batch, rows, cols = a.shape
+    words = _pack_gf2(a.reshape(batch * rows, cols)).reshape(batch, rows)
+    ranks = np.zeros(batch, dtype=DTYPE)
+    at = np.arange(batch)
+    zero = np.uint64(0)
+    for col in range(cols):
+        hit = (words & _BITS[col]) != 0
+        p = hit.argmax(axis=1)
+        ranks += hit[at, p]
+        words ^= np.where(hit, words[at, p][:, None], zero)
+        if ranks.min() == rows:
+            break
+    return ranks
+
+
+def _inverses(q: int) -> np.ndarray:
+    """v^(q-2) mod q for every v in [0, q): the inverse of each nonzero v."""
+    inv = np.ones(q, dtype=DTYPE)
+    base = np.arange(q, dtype=DTYPE)
+    e = q - 2
+    while e > 0:
+        if e & 1:
+            inv = inv * base % q
+        base = base * base % q
+        e >>= 1
+    return inv
+
+
+def _rank_batch_generic(a: np.ndarray, q: int) -> np.ndarray:
+    # entries minus products of two entries stay above -(q-1)^2, so small q
+    # run in a narrow dtype
+    work = np.min_scalar_type(-((q - 1) ** 2))
+    a = a.astype(work)
+    batch, rows, cols = a.shape
+    inv = _inverses(q).astype(work)
+    ranks = np.zeros(batch, dtype=DTYPE)
+    at = np.arange(batch)
+    for col in range(cols):
+        column = a[:, :, col]
+        p = (column != 0).argmax(axis=1)
+        pivot = a[at, p, col:]
+        ranks += pivot[:, 0] != 0
+        pivot = pivot * inv[pivot[:, 0]][:, None] % q
+        rest = a[:, :, col:]
+        rest -= column[:, :, None] * pivot[:, None, :]
+        rest %= q
+        if ranks.min() == rows:
+            break
+    return ranks
+
+
+def rank_mod_batch(a: np.ndarray, q: int) -> np.ndarray:
+    """Ranks over F_q of a stack ``a`` of shape ``(B, r, c)``, as a length-B
+    int64 array equal to ``[rank_mod(m, q) for m in a]``.
+
+    Forward elimination runs column by column on every matrix at once: each
+    matrix takes its first row with a nonzero entry in the column as pivot
+    and clears the column in every such row, the pivot row included.  The
+    pivot row is then zero (its earlier columns were cleared before), so it
+    never pivots again, and the rank is the number of columns that found a
+    pivot.
+    """
+    a = np.asarray(a, dtype=DTYPE)
+    if a.ndim != 3:
+        raise ValueError(f"need a (B, r, c) stack, got shape {a.shape}")
+    batch, rows, cols = a.shape
+    if batch * rows * cols == 0:
+        return np.zeros(batch, dtype=DTYPE)
+    if q == 2 and cols <= 64:
+        return _rank_batch_gf2(a)
+    return _rank_batch_generic(a, q)
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:

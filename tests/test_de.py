@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from snclab import de
 from snclab.degrees import EdgeDegreeDistribution, rho_star
 from snclab.de import (
     PopulationDeConfig,
@@ -28,6 +29,7 @@ from snclab.de import (
     typical_intersection_dim,
     xi_sample_update,
 )
+from snclab.kernels import rank_mod
 from snclab.linalg import Subspace, random_subspace_basis, subspace_intersection
 
 
@@ -266,6 +268,35 @@ def test_deviation_intersection_sampler_is_correct():
             v2 = Subspace.from_rows(b2, 2)
             dims_slow.append(subspace_intersection(v1, v2).dim)
         assert list(dims_fast) == dims_slow
+
+
+def _per_trial_intersection_dims(m, d1, d2, q, trials, rng):
+    # one rejection-sampled basis per trial, ranked outside V1's coordinates
+    out = np.empty(trials, dtype=np.int64)
+    for i in range(trials):
+        if d2 == 0:
+            out[i] = 0
+            continue
+        b2 = random_subspace_basis(m, d2, q, rng)
+        out[i] = d2 - rank_mod(b2[:, d1:], q) if d1 < m else d2
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("block_entries", [None, 40])
+def test_sample_intersection_dims_matches_per_trial_loop(q, block_entries, monkeypatch):
+    # blocks of 40 entries hold at most a few candidates, so every cell with
+    # d2 > 0 takes many blocks
+    if block_entries is not None:
+        monkeypatch.setattr(de, "_BLOCK_ENTRIES", block_entries)
+    fast, slow = np.random.default_rng(21), np.random.default_rng(21)
+    m = 6
+    for d1 in (0, 2, m):
+        for d2, trials in ((0, 9), (1, 30), (4, 30), (m, 30), (3, 1)):
+            got = sample_intersection_dims(m, d1, d2, q, trials, fast)
+            want = _per_trial_intersection_dims(m, d1, d2, q, trials, slow)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+            assert fast.bit_generator.state == slow.bit_generator.state
 
 
 def test_evaluate_deviation_flags_violations():

@@ -164,3 +164,34 @@ def test_dispatch_by_field_and_shape(monkeypatch):
     kernels.rref_mod(a, 2)
     kernels.rank_mod(a, 2)
     assert calls == [big, big]
+
+
+def test_rank_mod_batch_rejects_non_stack():
+    with pytest.raises(ValueError):
+        kernels.rank_mod_batch(np.zeros((2, 3), dtype=np.int64), 2)
+
+
+# q = 2 takes the one-word packed path up to 64 columns and the generic one past it
+@settings(max_examples=200, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 5]),
+    batch=st.integers(0, 12),
+    rows=st.integers(0, 12),
+    cols=st.sampled_from([0, 1, 63, 64, 65]) | st.integers(1, 24),
+    density=st.sampled_from([0.0, 0.05, 0.3, 0.5, 0.9, 1.0]),
+    rank=st.none() | st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_mod_batch_matches_rank_mod_loop(q, batch, rows, cols, density, rank, seed):
+    rng = np.random.default_rng(seed)
+
+    def sparse(shape):
+        return (rng.random(shape) < density) * rng.integers(1, q, shape)
+
+    if rank is None:
+        a = sparse((batch, rows, cols))
+    else:  # products of thin factors: rank at most `rank`
+        a = (sparse((batch, rows, rank)) @ sparse((batch, rank, cols))) % q
+    got = kernels.rank_mod_batch(a, q)
+    assert got.dtype == np.int64
+    assert got.tolist() == [kernels.rank_mod(m, q) for m in a]
