@@ -1,10 +1,10 @@
-"""Benchmark the GF(q) kernels on the backends present, and the bit-packed
-GF(2) path against the backend kernel it replaces at q = 2.
+"""Benchmark the GF(q) kernels, and the bit-packed GF(2) path against the
+generic numpy kernel it replaces at q = 2.
 
 Four micro tables and one end-to-end figure:
 
-- backend kernels: each installed backend (numpy always, numba when it is
-  importable) on the shapes the package uses;
+- generic kernels: ``_rref_numpy`` and ``matmul_mod`` on the shapes the
+  package uses;
 - packed vs generic: ``rref_mod`` and ``rank_mod`` at q = 2 on the
   decoder-size, population-DE and encoder-system shapes;
 - crossover sweep: packed vs generic RREF over rows x cols at q = 2, the
@@ -12,31 +12,27 @@ Four micro tables and one end-to-end figure:
 - batched rank: ``rank_mod_batch`` on 256 matrices against a ``rank_mod``
   loop, on the deviation grid's square shapes; at q = 2 also the generic
   column loop that the one-word packed path replaces;
-- end to end (full mode only): N=48 build+encode+transmit+decode per trial,
-  in a child interpreter per installed backend.
+- end to end (full mode only): N=48 build+encode+transmit+decode per trial.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--quick]
 """
 
 import argparse
-import os
-import subprocess
-import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 
 from snclab import kernels
-
-RREF = {"numpy": kernels._rref_numpy, "numba": kernels._rref_numba}
-MATMUL = {"numpy": kernels._matmul_numpy, "numba": kernels._matmul_numba}
-BACKENDS = ["numpy"] + (["numba"] if kernels.HAS_NUMBA else [])
+from snclab.channel import transmit, validate_params
+from snclab.decoder import DecoderConfig, decode
+from snclab.ensemble import build_code, encode
 
 
 def bench(fn, *args, repeat=5, budget=0.05):
     """Best per-call time over ``repeat`` batches of about ``budget`` seconds."""
     t0 = time.perf_counter()
-    fn(*args)  # also compiles a numba kernel outside the timer
+    fn(*args)
     inner = max(1, int(budget / max(time.perf_counter() - t0, 1e-6)))
     best = float("inf")
     for _ in range(repeat):
@@ -51,7 +47,7 @@ def binary(rng, rows, cols):
     return rng.integers(0, 2, (rows, cols), dtype=np.int64)
 
 
-def backend_table(rng, quick: bool):
+def generic_table(rng, quick: bool):
     cases = [
         ("rref 24x72 q2 (decoder-size)", binary(rng, 24, 72), 2),
         ("rref 72x36 q2 (population DE)", binary(rng, 72, 36), 2),
@@ -60,20 +56,20 @@ def backend_table(rng, quick: bool):
     ]
     if quick:
         cases = cases[:2]
-    print(f"{'backend kernel':36s}" + "".join(f" {b:>12s}" for b in BACKENDS))
+    print(f"{'generic kernel':36s} {'time':>12s}")
     for name, a, q in cases:
-        print(f"{name:36s}" + "".join(f" {bench(RREF[b], a, q) * 1e3:10.3f}ms" for b in BACKENDS))
+        print(f"{name:36s} {bench(kernels._rref_numpy, a, q) * 1e3:10.3f}ms")
     a, b = binary(rng, 36, 36), binary(rng, 36, 36)
-    print(f"{'matmul 36x36 q2':36s}" + "".join(f" {bench(MATMUL[k], a, b, 2) * 1e6:10.1f}us" for k in BACKENDS))
+    print(f"{'matmul 36x36 q2':36s} {bench(kernels.matmul_mod, a, b, 2) * 1e6:10.1f}us")
 
 
 def packed_table(rng, quick: bool):
     shapes = [(24, 72), (72, 36)] + ([] if quick else [(468, 864)])
-    print(f"\n{'q=2, ' + kernels.BACKEND + ' backend':20s} {'generic rref':>13s} {'packed rref':>12s} "
+    print(f"\n{'q=2':20s} {'generic rref':>13s} {'packed rref':>12s} "
           f"{'speedup':>8s} {'packed rank':>12s}")
     for rows, cols in shapes:
         a = binary(rng, rows, cols)
-        t_gen = bench(kernels._rref_impl, a, 2)
+        t_gen = bench(kernels._rref_numpy, a, 2)
         t_pk = bench(kernels._rref_gf2, a)
         t_rk = bench(kernels._rank_gf2, a)
         print(f"{f'{rows}x{cols}':20s} {t_gen * 1e3:11.3f}ms {t_pk * 1e3:10.3f}ms {t_gen / t_pk:7.2f}x "
@@ -91,7 +87,7 @@ def crossover(rng):
     wins = []
     for rows, cols in shapes:
         a = binary(rng, rows, cols)
-        t_gen = bench(kernels._rref_impl, a, 2, budget=0.02)
+        t_gen = bench(kernels._rref_numpy, a, 2, budget=0.02)
         t_pk = bench(kernels._rref_gf2, a, budget=0.02)
         wins.append((rows * cols, t_pk < t_gen))
         print(f"{f'{rows}x{cols}':20s} {rows * cols:6d} {t_gen * 1e3:8.3f}ms {t_pk * 1e3:8.3f}ms "
@@ -116,47 +112,26 @@ def batch_table(rng):
             print(row)
 
 
-DECODE_SNIPPET = r"""
-import time
-import numpy as np
-from fractions import Fraction
-from snclab import kernels
-from snclab.channel import validate_params, transmit
-from snclab.ensemble import build_code, encode
-from snclab.decoder import decode, DecoderConfig
-
-p = validate_params(2, 48, Fraction(1, 2), Fraction(1, 3))
-rng = np.random.default_rng([1])
-code = build_code(p, 3, 6, rng)  # warm any jit outside the timer
-decode(transmit(encode(code, np.zeros(code.info_length(), dtype=np.int64)), p, rng).y,
-       code, DecoderConfig(max_iters=20))
-t0 = time.perf_counter()
-n = 10
-for i in range(n):
-    rng = np.random.default_rng([2, i])
-    code = build_code(p, 3, 6, rng)
-    info = rng.integers(0, 2, size=code.info_length(), dtype=np.int64)
-    x = encode(code, info)
-    out = transmit(x, p, rng)
-    decode(out.y, code, DecoderConfig(max_iters=20))
-print(f"{kernels.BACKEND}: {(time.perf_counter() - t0) / n * 1e3:.1f} ms/trial (N=48 build+encode+decode)")
-"""
-
-
 def macro():
-    print()
-    for backend in BACKENDS:
-        env = dict(os.environ, SNCLAB_BACKEND=backend)
-        subprocess.run([sys.executable, "-c", DECODE_SNIPPET], env=env, check=True)
+    """Mean time of one N=48 build+encode+transmit+decode trial."""
+    p = validate_params(2, 48, Fraction(1, 2), Fraction(1, 3))
+    n = 10
+    config = DecoderConfig(max_iters=20)
+    t0 = time.perf_counter()
+    for i in range(n):
+        rng = np.random.default_rng([2, i])
+        code = build_code(p, 3, 6, rng)
+        info = rng.integers(0, 2, size=code.info_length(), dtype=np.int64)
+        decode(transmit(encode(code, info), p, rng).y, code, config)
+    print(f"\n{(time.perf_counter() - t0) / n * 1e3:.1f} ms/trial (N=48 build+encode+transmit+decode)")
 
 
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--quick", action="store_true", help="skip the larger cases and the end-to-end run")
     args = ap.parse_args()
-    print(f"active backend: {kernels.BACKEND}; installed: {', '.join(BACKENDS)}")
     rng = np.random.default_rng(0)
-    backend_table(rng, args.quick)
+    generic_table(rng, args.quick)
     packed_table(rng, args.quick)
     crossover(rng)
     batch_table(rng)

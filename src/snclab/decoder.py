@@ -31,7 +31,6 @@ class EmptyIntersectionFault(RuntimeError):
 @dataclass(frozen=True)
 class DecoderConfig:
     max_iters: int = 50
-    omega_prime: Optional[Fraction] = None
     fail_on_span_deficiency: bool = True
 
     def __post_init__(self):
@@ -201,13 +200,7 @@ def _aborted_result(code: LiftedCode, w_dim: int, fault: bool, iterations: int) 
 def decode(y: np.ndarray, code: LiftedCode, config: DecoderConfig = DecoderConfig()) -> DecodeResult:
     """Full pipeline: noise-space recovery, init, flooding rounds, decision."""
     params = code.params
-    omega_prime = code.omega_prime if config.omega_prime is None else Fraction(config.omega_prime)
-    if omega_prime != code.omega_prime:
-        raise ValueError(
-            f"config omega'={omega_prime} does not match the code's zero padding "
-            f"omega'={code.omega_prime}"
-        )
-    w = recover_noise_space(y, params, omega_prime)
+    w = recover_noise_space(y, params, code.omega_prime)
     noise_space_ok = w.dim == params.s
     if not noise_space_ok and config.fail_on_span_deficiency:
         return _aborted_result(code, w.dim, fault=False, iterations=0)

@@ -1,5 +1,4 @@
-"""Hot GF(q) matrix kernels: a numba backend, a pure-numpy fallback, and a
-bit-packed GF(2) path.
+"""Hot GF(q) matrix kernels in plain numpy, with a bit-packed GF(2) path.
 
 Everything downstream (canonical forms, subspace algebra, encoding, decoding,
 density evolution) funnels its inner loops through the four functions
@@ -10,20 +9,14 @@ exported here:
     rank_mod_batch(a, q)  -> ranks of a (B, r, c) stack
     matmul_mod(a, b, q)
 
-Both backends run the same exact integer algorithm and return identical
-results; the backend only changes speed.  Selection is controlled by the
-environment variable ``SNCLAB_BACKEND``:
-
-    auto   (default) use numba when importable, else numpy
-    numba  require the numba backend
-    numpy  force the pure-numpy fallback
-
-At q = 2, matrices of at least ``GF2_PACKED_MIN_CELLS`` entries take the
-M4RI-style packed path instead (Albrecht, Bard & Hart, "Algorithm 898", ACM
-TOMS 2010): each row is held as ``uint64`` words and elimination is a row
-XOR from the pivot word onward.  The RREF is canonical, so it returns
-exactly what the backend kernel would; smaller shapes and odd q keep the
-backend kernel, which also serves as the packed path's test oracle.
+The generic kernel ``_rref_numpy`` eliminates one column at a time with
+vectorised row operations.  At q = 2, matrices of at least
+``GF2_PACKED_MIN_CELLS`` entries take the M4RI-style packed path instead
+(Albrecht, Bard & Hart, "Algorithm 898", ACM TOMS 2010): each row is held as
+``uint64`` words and elimination is a row XOR from the pivot word onward.
+The RREF is canonical, so it returns exactly what ``_rref_numpy`` would;
+smaller shapes and odd q keep ``_rref_numpy``, which also serves as the
+packed path's test oracle.
 
 ``rank_mod_batch`` eliminates a whole stack of small matrices at once, one
 column at a time for every matrix together, so thousands of tiny ranks cost a
@@ -37,103 +30,9 @@ prime modulus ``q < 2**16`` (products stay far below int64 overflow).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 DTYPE = np.int64
-
-_ENV_VAR = "SNCLAB_BACKEND"
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-
-def _select_backend() -> str:
-    choice = os.environ.get(_ENV_VAR, "auto").strip().lower() or "auto"
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(
-            f"{_ENV_VAR} must be 'auto', 'numba' or 'numpy', got {choice!r}"
-        )
-    if choice == "numpy":
-        return "numpy"
-    if HAS_NUMBA:
-        return "numba"
-    if choice == "numba":
-        raise ImportError(f"{_ENV_VAR}=numba but numba is not importable")
-    return "numpy"
-
-
-BACKEND = _select_backend()
-
-
-# ---------------------------------------------------------------------------
-# loop implementations (compiled by numba when available)
-# ---------------------------------------------------------------------------
-
-
-def _rref_loops(a, q):
-    r = a.copy()
-    rows, cols = r.shape
-    piv = np.empty(min(rows, cols), dtype=DTYPE)
-    rank = 0
-    for col in range(cols):
-        pivot_row = -1
-        for i in range(rank, rows):
-            if r[i, col] != 0:
-                pivot_row = i
-                break
-        if pivot_row < 0:
-            continue
-        if pivot_row != rank:
-            for j in range(col, cols):
-                tmp = r[rank, j]
-                r[rank, j] = r[pivot_row, j]
-                r[pivot_row, j] = tmp
-        # pivot inverse by Fermat: v^(q-2) mod q
-        inv = 1
-        base = r[rank, col] % q
-        e = q - 2
-        while e > 0:
-            if e & 1:
-                inv = (inv * base) % q
-            base = (base * base) % q
-            e >>= 1
-        if inv != 1:
-            for j in range(col, cols):
-                r[rank, j] = (r[rank, j] * inv) % q
-        for i in range(rows):
-            if i != rank and r[i, col] != 0:
-                f = r[i, col]
-                for j in range(col, cols):
-                    r[i, j] = (r[i, j] - f * r[rank, j]) % q
-        piv[rank] = col
-        rank += 1
-        if rank == rows:
-            break
-    return r, rank, piv[:rank].copy()
-
-
-def _matmul_loops(a, b, q):
-    n, k = a.shape
-    _, m = b.shape
-    out = np.zeros((n, m), dtype=DTYPE)
-    for i in range(n):
-        for j in range(m):
-            acc = 0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc % q
-    return out
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy fallback (vectorized row operations, same elimination order)
-# ---------------------------------------------------------------------------
 
 
 def _rref_numpy(a, q):
@@ -162,36 +61,16 @@ def _rref_numpy(a, q):
     return r, rank, np.array(pivots, dtype=DTYPE)
 
 
-def _matmul_numpy(a, b, q):
-    return (a @ b) % q
-
-
-if HAS_NUMBA:
-    _rref_numba = njit(cache=True, nogil=True)(_rref_loops)
-    _matmul_numba = njit(cache=True, nogil=True)(_matmul_loops)
-else:  # pragma: no cover
-    _rref_numba = None
-    _matmul_numba = None
-
-
-if BACKEND == "numba":
-    _rref_impl = _rref_numba
-    _matmul_impl = _matmul_numba
-else:
-    _rref_impl = _rref_numpy
-    _matmul_impl = _matmul_numpy
-
-
 # ---------------------------------------------------------------------------
 # bit-packed GF(2) path: bit j of a row is bit j % 64 of word j // 64
 # ---------------------------------------------------------------------------
 
-# Smallest rows * cols for which the packed path beats the backend kernel at
+# Smallest rows * cols for which the packed path beats ``_rref_numpy`` at
 # q = 2.  In repeated runs of the crossover sweep of
-# ``benchmarks/bench_kernels.py`` (numpy backend, numpy 2.4, 2 CPUs) the
-# packed path was at least as fast on every swept shape from 648 cells
-# (18x36) up, with ties at 576 cells and at 12x72, and slower below 576; so
-# 12x36 and the deviation grid's m <= 7 shapes stay on the backend kernel.
+# ``benchmarks/bench_kernels.py`` (numpy 2.4, 2 CPUs) the packed path was at
+# least as fast on every swept shape from 648 cells (18x36) up, with ties at
+# 576 cells and at 12x72, and slower below 576; so 12x36 and the deviation
+# grid's m <= 7 shapes stay on the numpy kernel.
 GF2_PACKED_MIN_CELLS = 640
 
 _WORD = np.dtype("<u8")
@@ -260,8 +139,7 @@ def rref_mod(a: np.ndarray, q: int):
     a = np.ascontiguousarray(a, dtype=DTYPE)
     if _packed(a, q):
         return _rref_gf2(a)
-    r, rank, piv = _rref_impl(a, q)
-    return r, int(rank), piv
+    return _rref_numpy(a, q)
 
 
 def rank_mod(a: np.ndarray, q: int) -> int:
@@ -269,7 +147,7 @@ def rank_mod(a: np.ndarray, q: int) -> int:
     a = np.ascontiguousarray(a, dtype=DTYPE)
     if _packed(a, q):
         return _rank_gf2(a)
-    return int(_rref_impl(a, q)[1])
+    return _rref_numpy(a, q)[1]
 
 
 def _rank_batch_gf2(a: np.ndarray) -> np.ndarray:
@@ -352,4 +230,4 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     b = np.ascontiguousarray(b, dtype=DTYPE)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch for matmul: {a.shape} x {b.shape}")
-    return _matmul_impl(a, b, q)
+    return (a @ b) % q

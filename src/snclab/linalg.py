@@ -81,10 +81,6 @@ def rank(a: np.ndarray, q: int) -> int:
     return rank_mod(a, q)
 
 
-def matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    return matmul_mod(a, b, q)
-
-
 # ---------------------------------------------------------------------------
 # linear systems
 # ---------------------------------------------------------------------------
@@ -263,7 +259,7 @@ class Subspace:
         v = np.asarray(v, dtype=DTYPE) % self.q
         q = self.q
         for i in range(self.dim):
-            p = int(np.argmax(self.basis[i] != 0)) if self.dim else 0
+            p = int(np.argmax(self.basis[i] != 0))
             # basis is RREF: leading entry of row i is 1 at its pivot column
             c = v[p]
             if c:

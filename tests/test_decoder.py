@@ -354,12 +354,6 @@ def test_decode_with_extra_zero_padding_end_to_end():
     assert full == recovered
 
 
-def test_decoder_config_mismatched_omega_prime():
-    p, code, x, out = make_trial(0)
-    with pytest.raises(ValueError, match="omega'"):
-        decode(out.y, code, DecoderConfig(max_iters=5, omega_prime=Fraction(5, 6)))
-
-
 def test_symbol_error_rate_all_undetermined():
     p, code, x, out = make_trial(1)
     res = decode(out.y, code, DecoderConfig(max_iters=20))
