@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import List, Optional
 
 import numpy as np
-from scipy.stats import beta as beta_dist
 
 from . import __version__
 from .channel import achievable_k, capacity, singleton_bound, transmit, validate_params
@@ -289,6 +288,9 @@ def _run_trial(trial: int, args, params, shared_code) -> dict:
 
 
 def _clopper_pearson(k: int, n: int, conf: float = 0.99):
+    # scipy.stats is most of the CLI's import time and only simulate needs it
+    from scipy.stats import beta as beta_dist
+
     alpha = 1 - conf
     lo = 0.0 if k == 0 else float(beta_dist.ppf(alpha / 2, k, n - k + 1))
     hi = 1.0 if k == n else float(beta_dist.ppf(1 - alpha / 2, k + 1, n - k))

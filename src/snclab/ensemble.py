@@ -227,7 +227,6 @@ class LiftedCode:
     graph: TannerGraph
     labels: tuple
     omega_prime: Fraction
-    design_rate: Fraction
     _inverses: Optional[tuple] = field(default=None, repr=False)
     _system_rref: Optional[tuple] = field(default=None, repr=False)
 
@@ -238,6 +237,13 @@ class LiftedCode:
     @property
     def n_zero_rows(self) -> int:
         return self.params.l - self.graph.n_v
+
+    @property
+    def design_rate(self) -> Fraction:
+        """m (n_v - n_c) / (N l): the lifted system's unknowns less its
+        equations, per symbol of the l x N channel input."""
+        p = self.params
+        return Fraction(p.m * (self.graph.n_v - self.graph.n_c), p.N * p.l)
 
     def label_inverses(self) -> tuple:
         if self._inverses is None:
@@ -307,14 +313,7 @@ def lift(
         )
     q, m = params.q, params.m
     labels = tuple(random_invertible(m, q, rng) for _ in range(graph.n_e))
-    rate = Fraction(m * (graph.n_v - graph.n_c), params.N * params.l)
-    return LiftedCode(
-        params=params,
-        graph=graph,
-        labels=labels,
-        omega_prime=omega_prime,
-        design_rate=rate,
-    )
+    return LiftedCode(params=params, graph=graph, labels=labels, omega_prime=omega_prime)
 
 
 def build_code(
@@ -417,13 +416,8 @@ def code_from_dict(d: dict) -> LiftedCode:
         as_matrix(np.asarray(flat, dtype=DTYPE).reshape(m, m), params.q)
         for flat in d["labels"]
     )
-    rate = Fraction(m * (graph.n_v - graph.n_c), params.N * params.l)
     return LiftedCode(
-        params=params,
-        graph=graph,
-        labels=labels,
-        omega_prime=Fraction(d["omega_prime"]),
-        design_rate=rate,
+        params=params, graph=graph, labels=labels, omega_prime=Fraction(d["omega_prime"])
     )
 
 

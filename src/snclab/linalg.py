@@ -93,51 +93,31 @@ class Solution(NamedTuple):
     nullspace: "Subspace"
 
 
-def nullspace(a: np.ndarray, q: int) -> "Subspace":
-    """Right nullspace {x : a x = 0} as a canonical subspace of F_q^cols."""
-    a = np.asarray(a, dtype=DTYPE) % q
-    n = a.shape[1]
-    r, rk, piv = rref_mod(a, q)
-    piv = [int(c) for c in piv]
-    free = [c for c in range(n) if c not in piv]
-    if not free:
-        return Subspace.zero(n, q)
-    basis = np.zeros((len(free), n), dtype=DTYPE)
-    for row, f in enumerate(free):
-        basis[row, f] = 1
-        for i, p in enumerate(piv):
-            basis[row, p] = (-r[i, f]) % q
-    return Subspace.from_rows(basis, q, ambient=n)
-
-
-def _particular_solution(a: np.ndarray, b: np.ndarray, q: int) -> Optional[np.ndarray]:
-    """One solution of a*x = b (free coordinates zero), or None."""
-    n = a.shape[1]
-    aug = np.hstack([a, b.reshape(-1, 1)])
-    r, rk, piv = rref_mod(aug, q)
-    piv = [int(c) for c in piv]
-    if piv and piv[-1] == n:
-        return None
-    x = np.zeros(n, dtype=DTYPE)
-    for i, p in enumerate(piv):
-        x[p] = r[i, n]
-    return x
-
-
 def solve(a: np.ndarray, b: np.ndarray, q: int) -> Optional[Solution]:
     """Solve a*x = b over F_q.
 
     Returns None when the system is inconsistent; otherwise a particular
     solution (free coordinates set to zero) together with the nullspace.
+    Both are read off one RREF R of [a | b]: x takes R's last column at the
+    pivot coordinates, and each free coordinate f gives the nullspace vector
+    e_f - sum_i R[i, f] e_(pivot i).  Those vectors are echelon only in
+    reversed column order, so ``Subspace.from_rows`` canonicalizes them.
     """
     a = as_matrix(a, q)
     b = as_vector(b, q)
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} rows vs {b.shape[0]} rhs")
-    x = _particular_solution(a, b, q)
-    if x is None:
+    n = a.shape[1]
+    r, rk, piv = rref_mod(np.hstack([a, b.reshape(-1, 1)]), q)
+    if rk and piv[rk - 1] == n:
         return None
-    return Solution(x, nullspace(a, q))
+    x = np.zeros(n, dtype=DTYPE)
+    x[piv] = r[:rk, n]
+    free = np.setdiff1d(np.arange(n), piv)
+    basis = np.zeros((free.size, n), dtype=DTYPE)
+    basis[np.arange(free.size), free] = 1
+    basis[:, piv] = (-r[:rk, free].T) % q
+    return Solution(x, Subspace.from_rows(basis, q, ambient=n))
 
 
 # ---------------------------------------------------------------------------
@@ -255,16 +235,13 @@ class Subspace:
         return np.array_equal(self.reduce(v), np.zeros(self.ambient, dtype=DTYPE))
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
-        """Residue of v modulo this subspace (zero iff v is a member)."""
+        """Residue of v modulo this subspace (zero iff v is a member).
+
+        The basis is RREF, so row i is the only one nonzero at its pivot and
+        the residue is v minus v's pivot coordinates times the basis."""
         v = np.asarray(v, dtype=DTYPE) % self.q
-        q = self.q
-        for i in range(self.dim):
-            p = int(np.argmax(self.basis[i] != 0))
-            # basis is RREF: leading entry of row i is 1 at its pivot column
-            c = v[p]
-            if c:
-                v = (v - c * self.basis[i]) % q
-        return v
+        pivots = np.argmax(self.basis != 0, axis=1)
+        return (v - v[pivots] @ self.basis) % self.q
 
     def add(self, other: "Subspace") -> "Subspace":
         _check_same_space(self, other)
@@ -272,20 +249,17 @@ class Subspace:
         return Subspace.from_rows(stacked, self.q, self.ambient)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: row reduce [[U U], [V 0]]; rows with zero left block
-        carry an intersection basis in the right block."""
+        """Zassenhaus: row reduce [[U U], [V 0]]; the rows with zero left
+        block are the RREF basis of U & V in their right block."""
         _check_same_space(self, other)
-        m, q = self.ambient, self.q
-        du, dv = self.dim, other.dim
-        if du == 0 or dv == 0:
-            return Subspace.zero(m, q)
-        block = np.zeros((du + dv, 2 * m), dtype=DTYPE)
+        m, du = self.ambient, self.dim
+        block = np.zeros((du + other.dim, 2 * m), dtype=DTYPE)
         block[:du, :m] = self.basis
         block[:du, m:] = self.basis
         block[du:, :m] = other.basis
-        r, rk, _ = rref_mod(block, q)
-        left_zero = ~r[:rk, :m].any(axis=1)
-        return Subspace.from_rows(r[:rk, m:][left_zero], q, m)
+        r, rk, piv = rref_mod(block, self.q)
+        k = int(np.searchsorted(piv, m))
+        return Subspace(np.ascontiguousarray(r[k:rk, m:]), self.q, m)
 
     def transformed(self, h: np.ndarray) -> "Subspace":
         """Right action basis -> basis*h, re-canonicalized."""
@@ -417,22 +391,32 @@ class AffineSubspace:
         return AffineSubspace((-self.offset) % self.q, self.direction)
 
     def intersect(self, other: "AffineSubspace") -> Optional["AffineSubspace"]:
-        """Set intersection; None when the cosets are disjoint."""
+        """Set intersection; None when the cosets are disjoint.
+
+        Homogeneous Zassenhaus: row reduce [[U 0 U], [V 0 0], [a-b 1 a]]
+        (left m | flag | right m columns).  A row with zero left block is
+        (0, t, x) with x in (a + U) & (b + V) for t = 1 and x in U & V for
+        t = 0.  So the cosets meet iff the flag column is a pivot; its row
+        then holds the canonical offset, already cleared at the pivots of the
+        rows below it, which are the RREF basis of U & V.
+        """
         _check_same_space(self.direction, other.direction)
         q, m = self.q, self.ambient
-        d = (other.offset - self.offset) % q
-        da = self.direction.dim
-        stacked = np.vstack([self.direction.basis, other.direction.basis])
-        if stacked.shape[0] == 0:
-            if np.any(d):
-                return None
-            return AffineSubspace.point(self.offset, q)
-        coeffs = _particular_solution(np.ascontiguousarray(stacked.T), d, q)
-        if coeffs is None:
+        u, v = self.direction.basis, other.direction.basis
+        du, dv = u.shape[0], v.shape[0]
+        block = np.zeros((du + dv + 1, 2 * m + 1), dtype=DTYPE)
+        block[:du, :m] = u
+        block[:du, m + 1 :] = u
+        block[du : du + dv, :m] = v
+        block[-1, :m] = (self.offset - other.offset) % q
+        block[-1, m] = 1
+        block[-1, m + 1 :] = self.offset
+        r, rk, piv = rref_mod(block, q)
+        k = int(np.searchsorted(piv, m))
+        if k == rk or piv[k] != m:
             return None
-        u = (coeffs[:da] @ self.direction.basis) % q if da else np.zeros(m, dtype=DTYPE)
-        point = (self.offset + u) % q
-        return AffineSubspace.from_offset(point, self.direction.intersect(other.direction))
+        direction = Subspace(np.ascontiguousarray(r[k + 1 : rk, m + 1 :]), q, m)
+        return AffineSubspace(r[k, m + 1 :].copy(), direction)
 
     def enumerate_vectors(self) -> Iterator[np.ndarray]:
         for v in self.direction.enumerate_vectors():

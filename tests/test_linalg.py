@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from snclab import kernels, linalg
 from snclab.linalg import (
     AffineSubspace,
     FieldSpec,
@@ -118,6 +119,18 @@ def test_solve_random_systems_check_by_substitution():
             assert np.array_equal((a @ sol.particular) % q, b)
             for v in sol.nullspace.basis:
                 assert not ((a @ v) % q).any()
+            assert sol.nullspace.dim == cols - rank(a, q)
+            assert sol.nullspace == Subspace.from_rows(sol.nullspace.basis, q, ambient=cols)
+            free = np.setdiff1d(np.arange(cols), rref(a, q).pivot_cols)
+            assert not sol.particular[free].any()
+
+
+def test_solve_nullspace_is_canonical():
+    # the basis e_f - sum_i R[i, f] e_(pivot i) read off the RREF of [1 1 1]
+    # is (1 1 0), (1 0 1): both rows lead at column 0, so it is not RREF
+    sol = solve(np.array([[1, 1, 1]]), np.array([1]), 2)
+    assert np.array_equal(sol.particular, [1, 0, 0])
+    assert np.array_equal(sol.nullspace.basis, [[1, 0, 1], [0, 1, 1]])
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +283,16 @@ def test_subspace_ambient_mismatch():
 
 def test_intersection_membership_oracle_small():
     rng = np.random.default_rng(9)
-    q, m = 2, 4
-    for _ in range(100):
-        u = row_space(rng.integers(0, q, size=(rng.integers(0, 4), m), dtype=np.int64), q)
-        v = row_space(rng.integers(0, q, size=(rng.integers(0, 4), m), dtype=np.int64), q)
-        got = {tuple(x) for x in subspace_intersection(u, v).enumerate_vectors()}
-        want = {tuple(x) for x in u.enumerate_vectors()} & {tuple(x) for x in v.enumerate_vectors()}
-        assert got == want
+    m = 4
+    for q in (2, 3, 5):
+        for _ in range(100):
+            u = row_space(rng.integers(0, q, size=(rng.integers(0, 4), m), dtype=np.int64), q)
+            v = row_space(rng.integers(0, q, size=(rng.integers(0, 4), m), dtype=np.int64), q)
+            inter = subspace_intersection(u, v)
+            got = {tuple(x) for x in inter.enumerate_vectors()}
+            want = {tuple(x) for x in u.enumerate_vectors()} & {tuple(x) for x in v.enumerate_vectors()}
+            assert got == want
+            assert inter == Subspace.from_rows(inter.basis, q, ambient=m)
 
 
 # ---------------------------------------------------------------------------
@@ -351,31 +367,170 @@ def test_affine_intersection_examples():
     assert np.array_equal(point.offset, np.array([1, 1]))
 
 
+def _check_intersection(a, b):
+    """affine_intersection(a, b) against coset enumeration, and canonical."""
+    inter = affine_intersection(a, b)
+    want = _coset(a) & _coset(b)
+    if inter is None:
+        assert want == set()
+        return None
+    assert _coset(inter) == want
+    recanonical = AffineSubspace.from_offset(
+        inter.offset, Subspace.from_rows(inter.direction.basis, a.q, ambient=a.ambient)
+    )
+    assert inter == recanonical
+    return inter
+
+
 def test_affine_ops_against_coset_enumeration():
     rng = np.random.default_rng(11)
-    q, m = 2, 4
-    for _ in range(200):
-        da = int(rng.integers(0, 4))
-        db = int(rng.integers(0, 4))
-        a = AffineSubspace.from_offset(
-            rng.integers(0, q, size=m, dtype=np.int64),
-            row_space(rng.integers(0, q, size=(da, m), dtype=np.int64), q),
-        )
-        b = AffineSubspace.from_offset(
-            rng.integers(0, q, size=m, dtype=np.int64),
-            row_space(rng.integers(0, q, size=(db, m), dtype=np.int64), q),
-        )
-        want_sum = {tuple((np.array(x) + np.array(y)) % q) for x in _coset(a) for y in _coset(b)}
-        assert _coset(affine_sum(a, b)) == want_sum
-        inter = affine_intersection(a, b)
-        want_inter = _coset(a) & _coset(b)
-        if inter is None:
-            assert want_inter == set()
+    for q, m, cases in ((2, 4, 200), (3, 3, 150), (5, 3, 100)):
+        disjoint = 0
+        for _ in range(cases):
+            da = int(rng.integers(0, m))
+            db = int(rng.integers(0, m))
+            a = AffineSubspace.from_offset(
+                rng.integers(0, q, size=m, dtype=np.int64),
+                row_space(rng.integers(0, q, size=(da, m), dtype=np.int64), q),
+            )
+            b = AffineSubspace.from_offset(
+                rng.integers(0, q, size=m, dtype=np.int64),
+                row_space(rng.integers(0, q, size=(db, m), dtype=np.int64), q),
+            )
+            want_sum = {tuple((np.array(x) + np.array(y)) % q) for x in _coset(a) for y in _coset(b)}
+            assert _coset(affine_sum(a, b)) == want_sum
+            disjoint += _check_intersection(a, b) is None
+            h = random_invertible(m, q, rng)
+            want_img = {tuple((np.array(x) @ h) % q) for x in _coset(a)}
+            assert _coset(affine_image(a, h)) == want_img
+        assert 0 < disjoint < cases
+        # points: equal, distinct; parallel lines: equal, disjoint
+        p = rng.integers(0, q, size=m, dtype=np.int64)
+        e0 = np.eye(m, dtype=np.int64)[0]
+        line = Subspace.from_rows(e0[None, :], q)
+        point = AffineSubspace.point(p, q)
+        assert _check_intersection(point, point) == point
+        assert _check_intersection(point, AffineSubspace.point((p + 1) % q, q)) is None
+        a = AffineSubspace.from_offset(p, line)
+        assert _check_intersection(a, AffineSubspace.from_offset((p + e0) % q, line)) == a
+        assert _check_intersection(a, AffineSubspace.from_offset((p + 1 - e0) % q, line)) is None
+
+
+def _reduce_row_by_row(v, basis, q):
+    """Subspace.reduce as a loop: clear v at each RREF row's pivot in turn."""
+    for row in basis:
+        v = (v - v[np.argmax(row != 0)] * row) % q
+    return v
+
+
+def test_reduce_matches_row_by_row_loop():
+    rng = np.random.default_rng(15)
+    for q in (2, 3, 5, 65521):
+        for _ in range(50):
+            m = int(rng.integers(1, 40))
+            u = row_space(rng.integers(0, q, size=(int(rng.integers(0, m + 1)), m), dtype=np.int64), q)
+            v = rng.integers(0, q, size=m, dtype=np.int64)
+            assert np.array_equal(u.reduce(v), _reduce_row_by_row(v, u.basis, q))
+
+
+def _reference_intersection(a, b):
+    """The three-step affine intersection that the one-elimination form
+    replaced, on the generic kernel: solve for a common point, intersect the
+    directions by Zassenhaus and re-canonicalize, then reduce the point row
+    by row.  Returns (offset, basis) or None."""
+    q, m = a.q, a.ambient
+    u, v = a.direction.basis, b.direction.basis
+    du = u.shape[0]
+    stacked = np.vstack([u, v])
+    # a + c_u U = b - c_v V for coefficients c = (c_u, c_v)
+    aug = np.hstack([stacked.T, ((b.offset - a.offset) % q).reshape(-1, 1)])
+    r, rk, piv = kernels._rref_numpy(aug, q)
+    if rk and piv[rk - 1] == stacked.shape[0]:
+        return None
+    c = np.zeros(stacked.shape[0], dtype=np.int64)
+    c[piv] = r[:rk, -1]
+    point = (a.offset + c[:du] @ u) % q
+    block = np.zeros((stacked.shape[0], 2 * m), dtype=np.int64)
+    block[:, :m] = stacked
+    block[:du, m:] = u
+    r, rk, _ = kernels._rref_numpy(block, q)
+    right = r[:rk, m:][~r[:rk, :m].any(axis=1)]
+    r, rk, _ = kernels._rref_numpy(right, q)
+    basis = r[:rk]
+    return _reduce_row_by_row(point, basis, q), basis
+
+
+def _random_subspace_in(w, d, q, rng):
+    """Random d-dim subspace of the row space of w (full row rank)."""
+    return Subspace.from_rows(random_rank_matrix(d, w.shape[0], d, q, rng) @ w % q, q, w.shape[1])
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_affine_intersection_matches_reference_at_decoder_shape(q):
+    # decoder messages at N = 72: m = 36, direction dims up to 24, pairs
+    # whose dims sum past m, cosets that share a point and cosets that do not
+    rng = np.random.default_rng(36 + q)
+    m = 36
+    full = np.eye(m, dtype=np.int64)
+    dims = [(0, 0), (0, 24), (12, 12), (12, 24), (24, 24), (20, 17), (1, 0), (24, 13)]
+    outcomes = set()
+    for case in range(60):
+        du, dv = dims[case % len(dims)]
+        shape = case // len(dims) % 3
+        # shape 0: generic; 1: a shared point; 2: U + V inside a hyperplane
+        # that the offset difference leaves, so the cosets are disjoint
+        w = full if shape < 2 else random_rank_matrix(m - 1, m, m - 1, q, rng)
+        u, v = _random_subspace_in(w, du, q, rng), _random_subspace_in(w, dv, q, rng)
+        oa, ob = rng.integers(0, q, size=(2, m), dtype=np.int64)
+        if shape == 1:
+            ob = oa
+        elif shape == 2:
+            while Subspace.from_rows(w, q).contains((ob - oa) % q):
+                ob = rng.integers(0, q, size=m, dtype=np.int64)
+        a, b = AffineSubspace.from_offset(oa, u), AffineSubspace.from_offset(ob, v)
+        got = a.intersect(b)
+        want = _reference_intersection(a, b)
+        if want is None:
+            assert got is None
+            outcomes.add("disjoint")
         else:
-            assert _coset(inter) == want_inter
-        h = random_invertible(m, q, rng)
-        want_img = {tuple((np.array(x) @ h) % q) for x in _coset(a)}
-        assert _coset(affine_image(a, h)) == want_img
+            assert np.array_equal(got.offset, want[0])
+            assert np.array_equal(got.direction.basis, want[1])
+            outcomes.add("point" if got.is_point() else "coset")
+        if shape == 1:
+            assert got is not None
+        if shape == 2:
+            assert got is None
+    assert outcomes == {"disjoint", "point", "coset"}
+
+
+def test_one_elimination_per_subspace_operation(monkeypatch):
+    calls = []
+
+    def counting(a, q):
+        calls.append(np.shape(a))
+        return kernels.rref_mod(a, q)
+
+    monkeypatch.setattr(linalg, "rref_mod", counting)
+    rng = np.random.default_rng(14)
+    q, m = 3, 6
+    u = row_space(random_rank_matrix(3, m, 3, q, rng), q)
+    v = row_space(random_rank_matrix(4, m, 4, q, rng), q)
+    a = AffineSubspace.from_offset(rng.integers(0, q, size=m, dtype=np.int64), u)
+    b = AffineSubspace.from_offset(rng.integers(0, q, size=m, dtype=np.int64), v)
+    ops = [
+        (lambda: a.intersect(b), 1),
+        (lambda: u.intersect(v), 1),
+        (lambda: u.reduce(rng.integers(0, q, size=m)), 0),
+        # one elimination of [a | b]; the nullspace basis read off it is not
+        # RREF in general (see test_solve_nullspace_is_canonical), so
+        # Subspace.from_rows canonicalizes it
+        (lambda: solve(random_rank_matrix(4, m, 3, q, rng), np.zeros(4, dtype=np.int64), q), 2),
+    ]
+    for op, want in ops:
+        calls.clear()
+        op()
+        assert len(calls) == want
 
 
 def test_affine_canonical_representation_equality():
