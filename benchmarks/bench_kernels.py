@@ -1,7 +1,7 @@
 """Benchmark the GF(q) kernels, and the bit-packed GF(2) path against the
 generic numpy kernel it replaces at q = 2.
 
-Four micro tables and one end-to-end figure:
+Five micro tables and one end-to-end figure:
 
 - generic kernels: ``_rref_numpy`` and ``matmul_mod`` on the shapes the
   package uses;
@@ -12,6 +12,8 @@ Four micro tables and one end-to-end figure:
 - batched rank: ``rank_mod_batch`` on 256 matrices against a ``rank_mod``
   loop, on the deviation grid's square shapes; at q = 2 also the generic
   column loop that the one-word packed path replaces;
+- label draws: the 48 uniform invertible 36x36 labels of an N=72 code, by a
+  ``random_full_rank`` loop against ``random_full_rank_stack``;
 - end to end (full mode only): N=48 build+encode+transmit+decode per trial.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--quick]
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from snclab import kernels
+from snclab import kernels, linalg
 from snclab.channel import transmit, validate_params
 from snclab.decoder import DecoderConfig, decode
 from snclab.ensemble import build_code, encode
@@ -112,6 +114,21 @@ def batch_table(rng):
             print(row)
 
 
+def label_table():
+    print(f"\n{'48 labels 36x36':20s} {'loop':>10s} {'stack':>10s} {'speedup':>8s}")
+    for q in (2, 3):
+        def loop():
+            rng = np.random.default_rng(1)
+            return [linalg.random_full_rank(36, 36, q, rng) for _ in range(48)]
+
+        def stack():
+            return linalg.random_full_rank_stack(48, 36, 36, q, np.random.default_rng(1))
+
+        t_loop = bench(loop, repeat=3, budget=0.2)
+        t_stack = bench(stack, repeat=3, budget=0.2)
+        print(f"{f'q={q}':20s} {t_loop * 1e3:8.2f}ms {t_stack * 1e3:8.2f}ms {t_loop / t_stack:7.1f}x")
+
+
 def macro():
     """Mean time of one N=48 build+encode+transmit+decode trial."""
     p = validate_params(2, 48, Fraction(1, 2), Fraction(1, 3))
@@ -135,6 +152,7 @@ def main():
     packed_table(rng, args.quick)
     crossover(rng)
     batch_table(rng)
+    label_table()
     if not args.quick:
         macro()
 

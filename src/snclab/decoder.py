@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .channel import SncParams
-from .ensemble import LiftedCode
+from .ensemble import LiftedCode, constrained_rows
 from .kernels import DTYPE
 from .linalg import AffineSubspace, Subspace, as_matrix, row_space
 
@@ -31,7 +31,6 @@ class EmptyIntersectionFault(RuntimeError):
 @dataclass(frozen=True)
 class DecoderConfig:
     max_iters: int = 50
-    fail_on_span_deficiency: bool = True
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -55,7 +54,6 @@ class DecodeResult:
     stats: tuple
     noise_space_ok: bool
     noise_space_dim: int
-    fault: bool
     n_constrained: int
 
     @property
@@ -75,17 +73,11 @@ def recover_noise_space(y: np.ndarray, params: SncParams, omega_prime) -> Subspa
     The transmitted word is zero there, so those rows of y are noise rows;
     recovery succeeds iff the result has dimension s.
     """
-    omega_prime = Fraction(omega_prime)
-    zero_rows = omega_prime * params.l
-    if zero_rows.denominator != 1:
-        raise ValueError(f"l*omega' = {zero_rows} is not an integer")
-    n_zero = int(zero_rows)
+    n_v = constrained_rows(params, omega_prime)
     y = as_matrix(y, params.q)
     if y.shape != (params.l, params.m):
         raise ValueError(f"received matrix must be {params.l}x{params.m}, got {y.shape}")
-    if n_zero == 0:
-        return Subspace.zero(params.m, params.q)
-    return row_space(y[params.l - n_zero :], params.q)
+    return row_space(y[n_v:], params.q)
 
 
 def span_failure_probability(s: int, n_rows: int, q: int) -> Fraction:
@@ -181,18 +173,17 @@ def _round_stats(state: MessageState, determined: np.ndarray, code: LiftedCode) 
     }
 
 
-def _aborted_result(code: LiftedCode, w_dim: int, fault: bool, iterations: int) -> DecodeResult:
+def _aborted_result(code: LiftedCode, w_dim: int) -> DecodeResult:
     l, m = code.params.l, code.params.m
     determined = np.zeros(l, dtype=bool)
     determined[code.n_v :] = True
     return DecodeResult(
         x_hat=np.zeros((l, m), dtype=DTYPE),
         determined=determined,
-        iterations_used=iterations,
+        iterations_used=0,
         stats=(),
         noise_space_ok=False,
         noise_space_dim=w_dim,
-        fault=fault,
         n_constrained=code.n_v,
     )
 
@@ -201,33 +192,24 @@ def decode(y: np.ndarray, code: LiftedCode, config: DecoderConfig = DecoderConfi
     """Full pipeline: noise-space recovery, init, flooding rounds, decision."""
     params = code.params
     w = recover_noise_space(y, params, code.omega_prime)
-    noise_space_ok = w.dim == params.s
-    if not noise_space_ok and config.fail_on_span_deficiency:
-        return _aborted_result(code, w.dim, fault=False, iterations=0)
+    if w.dim != params.s:
+        return _aborted_result(code, w.dim)
 
     y = as_matrix(y, params.q)
     state = init_messages(y, w, code)
-    try:
+    x_hat, determined = decide(state, code)
+    stats = [_round_stats(state, determined, code)]
+    while not determined.all() and state.t < config.max_iters:
+        state = iterate(state, code)
         x_hat, determined = decide(state, code)
-        stats = [_round_stats(state, determined, code)]
-        while not determined.all() and state.t < config.max_iters:
-            state = iterate(state, code)
-            x_hat, determined = decide(state, code)
-            stats.append(_round_stats(state, determined, code))
-    except EmptyIntersectionFault:
-        if noise_space_ok:
-            raise
-        # decoding on a deficient noise space is outside the model's
-        # guarantees; report the block as failed instead of crashing
-        return _aborted_result(code, w.dim, fault=True, iterations=state.t)
+        stats.append(_round_stats(state, determined, code))
     return DecodeResult(
         x_hat=x_hat,
         determined=determined,
         iterations_used=state.t,
         stats=tuple(stats),
-        noise_space_ok=noise_space_ok,
+        noise_space_ok=True,
         noise_space_dim=w.dim,
-        fault=False,
         n_constrained=code.n_v,
     )
 
@@ -237,19 +219,18 @@ def symbol_error_rate(result: DecodeResult, truth_x: np.ndarray) -> float:
     n = result.n_constrained
     if n == 0:
         return 0.0
-    truth_x = np.asarray(truth_x, dtype=DTYPE)
-    errors = 0
-    for v in range(n):
-        if not result.determined[v] or not np.array_equal(result.x_hat[v], truth_x[v]):
-            errors += 1
-    return errors / n
+    right = _rows_equal(result, truth_x) & result.determined[:n]
+    return int(n - right.sum()) / n
 
 
 def wrong_determinations(result: DecodeResult, truth_x: np.ndarray) -> int:
     """Number of determined constrained rows that disagree with the truth."""
+    wrong = ~_rows_equal(result, truth_x) & result.determined[: result.n_constrained]
+    return int(wrong.sum())
+
+
+def _rows_equal(result: DecodeResult, truth_x: np.ndarray) -> np.ndarray:
+    """Per constrained row: does the estimate equal the truth?"""
+    n = result.n_constrained
     truth_x = np.asarray(truth_x, dtype=DTYPE)
-    wrong = 0
-    for v in range(result.n_constrained):
-        if result.determined[v] and not np.array_equal(result.x_hat[v], truth_x[v]):
-            wrong += 1
-    return wrong
+    return (result.x_hat[:n] == truth_x[:n]).all(axis=1)

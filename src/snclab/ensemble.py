@@ -21,7 +21,7 @@ import numpy as np
 from .channel import SncParams, validate_params
 from .degrees import NodeDegreeDistribution, edge_to_node, rho_star
 from .kernels import DTYPE, matmul_mod, rref_mod
-from .linalg import as_matrix, random_invertible
+from .linalg import as_matrix, random_full_rank_stack
 
 MAX_GRAPH_ATTEMPTS = 10_000
 
@@ -312,7 +312,7 @@ def lift(
             f"graph has {graph.n_v} variables, expected (1-omega')*l = {expected_n_v}"
         )
     q, m = params.q, params.m
-    labels = tuple(random_invertible(m, q, rng) for _ in range(graph.n_e))
+    labels = tuple(random_full_rank_stack(graph.n_e, m, m, q, rng))
     return LiftedCode(params=params, graph=graph, labels=labels, omega_prime=omega_prime)
 
 
@@ -341,19 +341,16 @@ def encode(code: LiftedCode, info: Sequence[int]) -> np.ndarray:
     q, m = code.params.q, code.params.m
     r, rk, piv = code.system_rref()
     n_unknowns = code.n_v * m
-    pivot_set = set(piv)
-    free = [c for c in range(n_unknowns) if c not in pivot_set]
+    free = np.setdiff1d(np.arange(n_unknowns), piv)
     info = np.asarray(info, dtype=DTYPE)
-    if info.shape != (len(free),):
-        raise ValueError(f"info must have length {len(free)}, got {info.shape}")
+    if info.shape != free.shape:
+        raise ValueError(f"info must have length {free.size}, got {info.shape}")
     if info.size and (info.min() < 0 or info.max() >= q):
         raise ValueError(f"info symbols must lie in [0, {q})")
     x = np.zeros(n_unknowns, dtype=DTYPE)
     x[free] = info
-    if free:
-        # pivot value = -(free part of the row) . info
-        for i, p in enumerate(piv):
-            x[p] = (-(r[i, free] @ info)) % q
+    # pivot value = -(free part of the row) . info
+    x[list(piv)] = (-(r[:, free] @ info)) % q
     word = np.zeros((code.params.l, m), dtype=DTYPE)
     word[: code.n_v] = x.reshape(code.n_v, m)
     word.setflags(write=False)

@@ -8,14 +8,19 @@ equality is representation equality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .kernels import DTYPE, matmul_mod, rank_mod, rref_mod
+from .kernels import DTYPE, matmul_mod, rank_mod, rank_mod_batch, rref_mod
 
 Q_MAX = 1 << 16
+# Candidate entries random_full_rank_stack draws at once: one block for 48
+# labels at m = 36 or 256 subspace bases up to m = 20, and at most 8 MB of
+# int64 at any shape.
+_BLOCK_ENTRIES = 1 << 20
 
 
 def is_prime(n: int) -> bool:
@@ -136,6 +141,36 @@ def random_full_rank(rows: int, cols: int, q: int, rng: np.random.Generator) -> 
         a = random_matrix(rows, cols, q, rng)
         if rank_mod(a, q) == target:
             return a
+
+
+def random_full_rank_stack(
+    count: int, rows: int, cols: int, q: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``count`` draws of ``random_full_rank(rows, cols, q, rng)`` as a
+    (count, rows, cols) stack.  Candidates are drawn and ranked in blocks,
+    and the generator is left where the one-at-a-time loop would leave it,
+    so the stack is that loop's."""
+    out = np.zeros((count, rows, cols), dtype=DTYPE)
+    if rows * cols == 0:
+        return out
+    target = min(rows, cols)
+    accept = math.prod(1.0 - float(q) ** (i - max(rows, cols)) for i in range(target))
+    cap = max(1, _BLOCK_ENTRIES // (rows * cols))
+    done = 0
+    while done < count:
+        need = count - done
+        # at least the expected candidate count plus three sigmas
+        k = min(math.ceil((need + 3 * math.sqrt(need)) / accept) + 1, cap)
+        state = rng.bit_generator.state
+        block = rng.integers(0, q, size=(k, rows, cols), dtype=DTYPE)
+        used = np.flatnonzero(rank_mod_batch(block, q) == target)[:need]
+        if used.size == need:
+            # draw again only the candidates the loop would have drawn
+            rng.bit_generator.state = state
+            rng.integers(0, q, size=(used[-1] + 1, rows, cols), dtype=DTYPE)
+        out[done : done + used.size] = block[used]
+        done += used.size
+    return out
 
 
 def random_invertible(m: int, q: int, rng: np.random.Generator) -> np.ndarray:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from snclab import de
+from snclab import linalg
 from snclab.degrees import EdgeDegreeDistribution, rho_star
 from snclab.de import (
     PopulationDeConfig,
@@ -288,7 +288,7 @@ def test_sample_intersection_dims_matches_per_trial_loop(q, block_entries, monke
     # blocks of 40 entries hold at most a few candidates, so every cell with
     # d2 > 0 takes many blocks
     if block_entries is not None:
-        monkeypatch.setattr(de, "_BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", block_entries)
     fast, slow = np.random.default_rng(21), np.random.default_rng(21)
     m = 6
     for d1 in (0, 2, m):

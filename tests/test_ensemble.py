@@ -22,7 +22,7 @@ from snclab.ensemble import (
     sample_tanner_graph,
     save_code,
 )
-from snclab.linalg import rank
+from snclab.linalg import random_invertible, rank
 
 
 def params_2_24():
@@ -136,6 +136,20 @@ def test_lift_labels_invertible_and_seeded():
         assert rank(h, p.q) == p.m
     again = lift(g, p, np.random.default_rng(5))
     assert all(np.array_equal(a, b) for a, b in zip(code.labels, again.labels))
+
+
+def test_lift_labels_match_per_edge_loop():
+    for q, N in ((2, 24), (3, 24), (2, 72)):
+        p = validate_params(q, N, Fraction(1, 2), Fraction(1, 3))
+        n_v = p.l - p.s
+        seq = realize_degree_sequence(edge_to_node(rho_star(3, 6).dist), n_v)
+        g = sample_tanner_graph(seq, n_v, np.random.default_rng(8))
+        fast, slow = np.random.default_rng(9), np.random.default_rng(9)
+        code = lift(g, p, fast)
+        want = [random_invertible(p.m, q, slow) for _ in range(g.n_e)]
+        assert len(code.labels) == g.n_e
+        assert all(np.array_equal(a, b) for a, b in zip(code.labels, want))
+        assert fast.bit_generator.state == slow.bit_generator.state
 
 
 def test_lift_m1_labels_are_unit():

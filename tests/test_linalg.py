@@ -17,6 +17,8 @@ from snclab.linalg import (
     dump_matrix_text,
     gaussian_binomial,
     load_matrix_text,
+    random_full_rank,
+    random_full_rank_stack,
     random_invertible,
     random_rank_matrix,
     rank,
@@ -160,6 +162,23 @@ def test_random_invertible_uniform_gl2_f2():
         counts[h.tobytes()] = counts.get(h.tobytes(), 0) + 1
     assert len(counts) == 6
     assert chi_square_uniform(list(counts.values()))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("block_entries", [None, 40])
+def test_random_full_rank_stack_matches_loop(q, block_entries, monkeypatch):
+    # blocks of 40 entries hold at most a few candidates (one at 36x36), so
+    # most stacks take many blocks
+    if block_entries is not None:
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", block_entries)
+    fast, slow = np.random.default_rng(31), np.random.default_rng(31)
+    for rows, cols in ((4, 6), (6, 6), (6, 3), (36, 36), (0, 5)):
+        for count in (0, 1, 7, 48):
+            got = random_full_rank_stack(count, rows, cols, q, fast)
+            want = [random_full_rank(rows, cols, q, slow) for _ in range(count)]
+            assert got.shape == (count, rows, cols) and got.dtype == np.int64
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert fast.bit_generator.state == slow.bit_generator.state
 
 
 def test_random_rank_matrix_zero_rank():
