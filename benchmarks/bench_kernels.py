@@ -1,7 +1,7 @@
 """Benchmark the GF(q) kernels, and the bit-packed GF(2) path against the
 generic numpy kernel it replaces at q = 2.
 
-Five micro tables and one end-to-end figure:
+Six tables and one end-to-end figure:
 
 - generic kernels: ``_rref_numpy`` and ``matmul_mod`` on the shapes the
   package uses;
@@ -14,21 +14,31 @@ Five micro tables and one end-to-end figure:
   column loop that the one-word packed path replaces;
 - label draws: the 48 uniform invertible 36x36 labels of an N=72 code, by a
   ``random_full_rank`` loop against ``random_full_rank_stack``;
+- population DE: 4 generations of 1000 members (200 with ``--quick``) at
+  m = 36, D = 12, rho*(3, 6), by the per-member reference loop of
+  ``tests/test_de.py`` against ``population_de_run``;
 - end to end (full mode only): N=48 build+encode+transmit+decode per trial.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--quick]
 """
 
 import argparse
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
 from snclab import kernels, linalg
 from snclab.channel import transmit, validate_params
+from snclab.de import PopulationDeConfig, population_de_run
 from snclab.decoder import DecoderConfig, decode
+from snclab.degrees import rho_star
 from snclab.ensemble import build_code, encode
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from test_de import per_member_population_de_run  # noqa: E402
 
 
 def bench(fn, *args, repeat=5, budget=0.05):
@@ -129,6 +139,27 @@ def label_table():
         print(f"{f'q={q}':20s} {t_loop * 1e3:8.2f}ms {t_stack * 1e3:8.2f}ms {t_loop / t_stack:7.1f}x")
 
 
+def population_table(quick: bool):
+    """One timed loop run against the best of three batched runs, after a
+    first run of each that also checks that they agree."""
+    members = 200 if quick else 1000
+    print(f"\n{f'population DE {members}x4':20s} {'loop':>10s} {'batched':>10s} {'speedup':>8s}")
+    for q in (2, 3):
+        cfg = PopulationDeConfig(q=q, m=36, d_cap=12, rho=rho_star(3, 6).dist,
+                                 population_size=members, max_iters=4)
+
+        def timed(run):
+            t0 = time.perf_counter()
+            out = run(cfg, np.random.default_rng(1))
+            return time.perf_counter() - t0, out
+
+        t_loop, want = timed(per_member_population_de_run)
+        _, got = timed(population_de_run)
+        assert [st.dims.tolist() for st in got] == [d.tolist() for d in want]
+        t_fast = min(timed(population_de_run)[0] for _ in range(3))
+        print(f"{f'q={q}':20s} {t_loop:9.3f}s {t_fast:9.3f}s {t_loop / t_fast:7.1f}x")
+
+
 def macro():
     """Mean time of one N=48 build+encode+transmit+decode trial."""
     p = validate_params(2, 48, Fraction(1, 2), Fraction(1, 3))
@@ -153,6 +184,7 @@ def main():
     crossover(rng)
     batch_table(rng)
     label_table()
+    population_table(args.quick)
     if not args.quick:
         macro()
 

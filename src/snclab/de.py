@@ -3,7 +3,9 @@
 Finite-m layer: the law of the message dimension D^(t) follows a recursion
 whose kernel is "draw n ~ rho, sum n-1 uniform subspaces of the current dims,
 intersect with a fixed D-dim subspace"; we realize that kernel by exact
-random-subspace sampling over a fixed-size population.
+random-subspace sampling over a fixed-size population, a chunk of members at
+a time: bases are drawn speculatively and checked by batched ranks, with the
+draws of a one-member-at-a-time rejection loop.
 
 Rescaled layer: at integer k = (1-lambda)/(lambda*omega) the normalized
 dimensions take values {0, 1} only and their mass alpha_t obeys the scalar
@@ -23,12 +25,14 @@ import mpmath
 import numpy as np
 
 from .degrees import EdgeDegreeDistribution
-from .kernels import rank_mod, rank_mod_batch
-from .linalg import gaussian_binomial, random_full_rank_stack, random_subspace_basis
+from .kernels import rank_mod_batch
+from .linalg import full_rank_probability, gaussian_binomial, random_full_rank_stack
 
 NOISE_FLOOR = 1e-12
 EXACT_DENOM_BITS = 4096
 MP_DPS = 60
+# Members drawn and ranked together; a chunk's stacks stay a few tens of kB.
+_CHUNK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -254,17 +258,58 @@ def population_summary(state: PopulationState, d_cap: int) -> Dict[str, float]:
     }
 
 
-def _sample_kernel_dim(
-    dims: Sequence[int], d_cap: int, m: int, q: int, rng: np.random.Generator
-) -> int:
-    """dim((V_1 + ... + V_{n-1}) ∩ V) with V = span of the first d_cap
-    coordinates (a valid stand-in for any fixed subspace, by GL-invariance)."""
-    dims = [d for d in dims if d > 0]
-    if not dims or d_cap == 0:
-        return 0
-    stack = np.concatenate([random_subspace_basis(m, d, q, rng) for d in dims])
+def _kernel_dims(
+    dims: np.ndarray, ns: np.ndarray, d_cap: int, m: int, q: int, rng: np.random.Generator
+) -> np.ndarray:
+    """dim((V_1 + ... + V_{n-1}) ∩ V) for members of degrees ``ns``, with V
+    the span of the first d_cap coordinates (a valid stand-in for any fixed
+    subspace, by GL-invariance).  A member picks n-1 members of ``dims``,
+    then draws a full-rank basis per nonzero pick, as a per-member loop does.
+
+    Candidates are assumed full rank while drawn and a window of them is
+    ranked at once; at the first rejected one the generator goes back to just
+    after its draw and the slot is drawn again, so the bases and the final
+    generator state are the loop's.
+    """
+    d_max = int(dims.max())
+    window = max(1, int(np.maximum(ns - 1, 0).sum()))  # every candidate, if none is rejected
+    reject = 1.0 - full_rank_probability(d_max, m, q)
+    if reject > 0:
+        # about one rejection per window, so few speculative draws are wasted
+        window = min(window, math.ceil(1 / reject))
+    narrow = np.min_scalar_type(q - 1)
+    stack = np.zeros((len(ns), max(int(ns.max()) - 1, 0) * d_max, m), dtype=narrow)
+    counts = np.zeros(len(ns), dtype=np.int64)  # rows stacked per member
+    member, picked, slot = 0, None, 0  # next draw: this member's picks, or its slot-th basis
+    while member < len(ns):
+        block = np.zeros((window, d_max, m), dtype=narrow)
+        drawn = []  # (member, its picks, slot, dim, generator state after the draw)
+        while len(drawn) < window and member < len(ns):
+            if picked is None:
+                n = int(ns[member])
+                if n <= 1:
+                    member += 1
+                    continue
+                picked = dims[rng.integers(0, len(dims), size=n - 1)]
+                picked, slot = picked[picked > 0], 0
+            if slot == len(picked):
+                member, picked = member + 1, None
+                continue
+            d = int(picked[slot])
+            block[len(drawn), :d] = rng.integers(0, q, size=(d, m), dtype=np.int64)
+            drawn.append((member, picked, slot, d, rng.bit_generator.state))
+            slot += 1
+        ranks = rank_mod_batch(block[: len(drawn)], q)
+        for k, (i, p, s, d, state) in enumerate(drawn):
+            if ranks[k] != d:
+                rng.bit_generator.state = state
+                member, picked, slot = i, p, s
+                break
+            stack[i, counts[i] : counts[i] + d] = block[k, :d]
+            counts[i] += d
+    stack = stack[:, : counts.max()]
     # dim(S + V) = d_cap + rank of S outside V's coordinates
-    return rank_mod(stack, q) - rank_mod(stack[:, d_cap:], q)
+    return rank_mod_batch(stack, q) - rank_mod_batch(stack[:, :, d_cap:], q)
 
 
 def population_de_run(
@@ -273,8 +318,9 @@ def population_de_run(
     """Fixed-size population stand-in for the distributional recursion.
 
     Starts with every member at D = l*omega; each generation resamples every
-    member through the kernel.  The all-zero population is absorbing, so
-    remaining generations are filled without sampling once it is reached.
+    member through the kernel, ``_CHUNK`` members at a time.  The all-zero
+    population is absorbing, so remaining generations are filled without
+    sampling once it is reached.
     """
     degrees = [d for d, _ in config.rho.coeffs]
     probs = np.array([float(p) for _, p in config.rho.coeffs])
@@ -283,21 +329,14 @@ def population_de_run(
     dims = np.full(size, config.d_cap, dtype=np.int64)
     states = [PopulationState(dims=dims.copy(), t=0)]
     for t in range(1, config.max_iters + 1):
-        if not dims.any():
-            states.append(PopulationState(dims=dims.copy(), t=t))
-            continue
-        new_dims = np.empty(size, dtype=np.int64)
-        ns = rng.choice(degrees, size=size, p=probs)
-        for idx in range(size):
-            n = int(ns[idx])
-            if n <= 1:
-                new_dims[idx] = 0
-                continue
-            picks = rng.integers(0, size, size=n - 1)
-            new_dims[idx] = _sample_kernel_dim(
-                dims[picks], config.d_cap, config.m, config.q, rng
-            )
-        dims = new_dims
+        if dims.any():
+            ns = rng.choice(degrees, size=size, p=probs)
+            new_dims = np.empty(size, dtype=np.int64)
+            for lo in range(0, size, _CHUNK):
+                new_dims[lo : lo + _CHUNK] = _kernel_dims(
+                    dims, ns[lo : lo + _CHUNK], config.d_cap, config.m, config.q, rng
+                )
+            dims = new_dims
         states.append(PopulationState(dims=dims.copy(), t=t))
     return states
 

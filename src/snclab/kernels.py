@@ -211,9 +211,10 @@ def rank_mod_batch(a: np.ndarray, q: int) -> np.ndarray:
     and clears the column in every such row, the pivot row included.  The
     pivot row is then zero (its earlier columns were cleared before), so it
     never pivots again, and the rank is the number of columns that found a
-    pivot.
+    pivot.  Integer stacks of any width are taken as they are, so callers may
+    hold large stacks in ``uint8`` or ``uint16``.
     """
-    a = np.asarray(a, dtype=DTYPE)
+    a = np.asarray(a)
     if a.ndim != 3:
         raise ValueError(f"need a (B, r, c) stack, got shape {a.shape}")
     batch, rows, cols = a.shape

@@ -134,6 +134,12 @@ def random_matrix(rows: int, cols: int, q: int, rng: np.random.Generator) -> np.
     return rng.integers(0, q, size=(rows, cols), dtype=DTYPE)
 
 
+def full_rank_probability(rows: int, cols: int, q: int) -> float:
+    """Probability that a uniform rows x cols matrix over F_q has full rank
+    min(rows, cols): prod_{i < min} (1 - q^(i - max))."""
+    return math.prod(1.0 - float(q) ** (i - max(rows, cols)) for i in range(min(rows, cols)))
+
+
 def random_full_rank(rows: int, cols: int, q: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform matrix conditioned on full rank min(rows, cols), by rejection."""
     target = min(rows, cols)
@@ -154,7 +160,7 @@ def random_full_rank_stack(
     if rows * cols == 0:
         return out
     target = min(rows, cols)
-    accept = math.prod(1.0 - float(q) ** (i - max(rows, cols)) for i in range(target))
+    accept = full_rank_probability(rows, cols, q)
     cap = max(1, _BLOCK_ENTRIES // (rows * cols))
     done = 0
     while done < count:

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
-from snclab import linalg
+from snclab import de, linalg
 from snclab.degrees import EdgeDegreeDistribution, rho_star
 from snclab.de import (
     PopulationDeConfig,
@@ -30,7 +31,7 @@ from snclab.de import (
     xi_sample_update,
 )
 from snclab.kernels import rank_mod
-from snclab.linalg import Subspace, random_subspace_basis, subspace_intersection
+from snclab.linalg import Subspace, gaussian_binomial, random_subspace_basis, subspace_intersection
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +217,73 @@ def test_population_interior_shrinks_with_m():
     assert interiors[1] < interiors[0]
 
 
+def per_member_population_de_run(config, rng):
+    """The one-member-at-a-time population loop: per member, n-1 picks, one
+    rejection-sampled basis per nonzero pick, two ranks of the stacked bases."""
+    degrees = [d for d, _ in config.rho.coeffs]
+    probs = np.array([float(p) for _, p in config.rho.coeffs])
+    probs = probs / probs.sum()
+    size = config.population_size
+    dims = np.full(size, config.d_cap, dtype=np.int64)
+    out = [dims.copy()]
+    for _ in range(config.max_iters):
+        if dims.any():
+            new_dims = np.zeros(size, dtype=np.int64)
+            ns = rng.choice(degrees, size=size, p=probs)
+            for idx in range(size):
+                n = int(ns[idx])
+                if n <= 1:
+                    continue
+                picks = [int(d) for d in dims[rng.integers(0, size, size=n - 1)] if d > 0]
+                if not picks:
+                    continue
+                stack = np.concatenate([random_subspace_basis(config.m, d, config.q, rng) for d in picks])
+                # V = span of the first d_cap coordinates
+                new_dims[idx] = rank_mod(stack, config.q) - rank_mod(stack[:, config.d_cap :], config.q)
+            dims = new_dims
+        out.append(dims.copy())
+    return out
+
+
+def _assert_matches_per_member_loop(cfg, seed):
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    states = population_de_run(cfg, fast)
+    want = per_member_population_de_run(cfg, slow)
+    assert [st.t for st in states] == list(range(cfg.max_iters + 1))
+    for st, dims in zip(states, want, strict=True):
+        assert st.dims.dtype == np.int64 and st.dims.tolist() == dims.tolist()
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("m, d_cap", [(3, 2), (8, 4), (8, 8), (36, 12)])
+def test_population_matches_per_member_loop(q, m, d_cap):
+    # 101 members: three chunks of 32 and a partial one; at m = 3 about a
+    # third of the q = 2 candidates are rank deficient
+    cfg = PopulationDeConfig(q=q, m=m, d_cap=d_cap, rho=rho_star(3, 6).dist, population_size=101, max_iters=3)
+    _assert_matches_per_member_loop(cfg, 30 + q)
+
+
+@pytest.mark.parametrize(
+    "m, d_cap, rho",
+    [(8, 0, rho_star(3, 6).dist), (8, 4, EdgeDegreeDistribution({1: Fraction(1)})), (6, 3, rho_star(2, 5).dist)],
+)
+def test_population_matches_per_member_loop_edge_cases(m, d_cap, rho):
+    cfg = PopulationDeConfig(q=2, m=m, d_cap=d_cap, rho=rho, population_size=100, max_iters=3)
+    _assert_matches_per_member_loop(cfg, 40)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_population_matches_per_member_loop_with_rollbacks(q, monkeypatch):
+    # sized as if no candidate were rejected, each window holds a whole chunk
+    # of 7 members (up to 35 candidates), so at m = 3 most windows end in a
+    # rollback; 100 members leave a partial last chunk
+    monkeypatch.setattr(de, "full_rank_probability", lambda rows, cols, q: 1.0)
+    monkeypatch.setattr(de, "_CHUNK", 7)
+    cfg = PopulationDeConfig(q=q, m=3, d_cap=2, rho=rho_star(3, 6).dist, population_size=100, max_iters=4)
+    _assert_matches_per_member_loop(cfg, 50)
+
+
 def test_population_config_validation():
     rho = rho_star(3, 6).dist
     with pytest.raises(ValueError):
@@ -297,6 +365,40 @@ def test_sample_intersection_dims_matches_per_trial_loop(q, block_entries, monke
             want = _per_trial_intersection_dims(m, d1, d2, q, trials, slow)
             assert got.dtype == want.dtype and got.tolist() == want.tolist()
             assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def _meet_law(m, a, b, q):
+    """Exact law of dim(V1 ∩ V2) for a fixed a-dim V1 and a uniform b-dim V2
+    in F_q^m: j -> q^((a-j)(b-j)) [a, j]_q [m-a, b-j]_q / [m, b]_q."""
+    return {
+        j: Fraction(
+            q ** ((a - j) * (b - j)) * gaussian_binomial(a, j, q) * gaussian_binomial(m - a, b - j, q),
+            gaussian_binomial(m, b, q),
+        )
+        for j in range(max(0, a + b - m), min(a, b) + 1)
+    }
+
+
+@pytest.mark.parametrize("m, a, b, q", [(6, 3, 3, 2), (8, 4, 5, 2), (7, 3, 4, 3), (5, 2, 3, 5), (4, 1, 2, 2)])
+def test_sample_intersection_dims_follow_exact_meet_law(m, a, b, q):
+    law = _meet_law(m, a, b, q)
+    assert sum(law.values()) == 1
+    trials = 20_000
+    dims = sample_intersection_dims(m, a, b, q, trials, np.random.default_rng(60 + m))
+    counts = np.bincount(dims, minlength=m + 1)
+    assert counts.sum() == sum(counts[j] for j in law)
+    # chi-square over the support, the rarest values pooled until each cell
+    # expects at least 5 (the likeliest value alone does)
+    observed, expected = [], []
+    obs = exp = 0.0
+    for j in sorted(law, key=lambda j: law[j]):
+        obs, exp = obs + counts[j], exp + trials * float(law[j])
+        if exp >= 5:
+            observed.append(obs)
+            expected.append(exp)
+            obs = exp = 0.0
+    stat = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+    assert chi2.sf(stat, max(len(observed) - 1, 1)) > 1e-3
 
 
 def test_evaluate_deviation_flags_violations():

@@ -189,3 +189,28 @@ def test_rank_mod_batch_matches_rank_mod_loop(q, batch, rows, cols, density, ran
     got = kernels.rank_mod_batch(a, q)
     assert got.dtype == np.int64
     assert got.tolist() == [kernels.rank_mod(m, q) for m in a]
+
+
+# int64 stacks are the reference: the narrow ones must rank the same, on both
+# the one-word GF(2) path and the generic column loop, and stay unchanged
+@settings(max_examples=100, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 5]),
+    dtype=st.sampled_from([np.uint8, np.uint16, np.int8, np.int16, np.int32]),
+    batch=st.integers(0, 8),
+    rows=st.integers(0, 10),
+    cols=st.sampled_from([1, 36, 64, 65]) | st.integers(1, 12),
+    rank=st.none() | st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_mod_batch_narrow_input_matches_int64(q, dtype, batch, rows, cols, rank, seed):
+    rng = np.random.default_rng(seed)
+    if rank is None:
+        a = rng.integers(0, q, (batch, rows, cols), dtype=np.int64)
+    else:
+        a = (rng.integers(0, q, (batch, rows, rank)) @ rng.integers(0, q, (batch, rank, cols))) % q
+    narrow = a.astype(dtype)
+    got = kernels.rank_mod_batch(narrow, q)
+    assert got.dtype == np.int64
+    assert got.tolist() == kernels.rank_mod_batch(a, q).tolist()
+    assert np.array_equal(narrow, a)
