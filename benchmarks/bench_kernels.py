@@ -1,12 +1,19 @@
-"""Benchmark the GF(q) kernels, and the bit-packed GF(2) path against the
-generic numpy kernel it replaces at q = 2.
+"""Benchmark the GF(q) kernels, the row-sparse generic RREF against a dense
+elimination loop, and the bit-packed GF(2) path against the generic kernel
+it replaces at q = 2.
 
-Six tables and one end-to-end figure:
+Eight tables and one end-to-end figure:
 
 - generic kernels: ``_rref_numpy`` and ``matmul_mod`` on the shapes the
   package uses;
+- encoder system: the 468x864 ``constraint_matrix()`` of an N=72 code at
+  q = 2, 3, 5, by the dense loop ``dense_rref_reference`` of
+  ``tests/test_kernels.py`` against ``rref_mod`` (``--quick``: q = 3 only);
+- decode: ms per flooding round (one ``decoder.iterate`` call) at N=72,
+  q = 2 and 3, over the rounds of recovered trials until every row is
+  decided;
 - packed vs generic: ``rref_mod`` and ``rank_mod`` at q = 2 on the
-  decoder-size, population-DE and encoder-system shapes;
+  decoder-size, population-DE and a dense 468x864 shape;
 - crossover sweep: packed vs generic RREF over rows x cols at q = 2, the
   source of ``kernels.GF2_PACKED_MIN_CELLS``;
 - batched rank: ``rank_mod_batch`` on 256 matrices against a ``rank_mod``
@@ -33,12 +40,15 @@ import numpy as np
 from snclab import kernels, linalg
 from snclab.channel import transmit, validate_params
 from snclab.de import PopulationDeConfig, population_de_run
-from snclab.decoder import DecoderConfig, decode
+from snclab.decoder import DecoderConfig, decide, decode, init_messages, iterate, recover_noise_space
 from snclab.degrees import rho_star
 from snclab.ensemble import build_code, encode
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from test_de import per_member_population_de_run  # noqa: E402
+from test_kernels import dense_rref_reference  # noqa: E402
+
+N72 = (72, Fraction(1, 2), Fraction(1, 3))
 
 
 def bench(fn, *args, repeat=5, budget=0.05):
@@ -63,7 +73,7 @@ def generic_table(rng, quick: bool):
     cases = [
         ("rref 24x72 q2 (decoder-size)", binary(rng, 24, 72), 2),
         ("rref 72x36 q2 (population DE)", binary(rng, 72, 36), 2),
-        ("rref 468x864 q2 (encode system)", binary(rng, 468, 864), 2),
+        ("rref 37x73 q3 (decoder intersect)", rng.integers(0, 3, (37, 73), dtype=np.int64), 3),
         ("rref 120x240 q3", rng.integers(0, 3, (120, 240), dtype=np.int64), 3),
     ]
     if quick:
@@ -73,6 +83,47 @@ def generic_table(rng, quick: bool):
         print(f"{name:36s} {bench(kernels._rref_numpy, a, q) * 1e3:10.3f}ms")
     a, b = binary(rng, 36, 36), binary(rng, 36, 36)
     print(f"{'matmul 36x36 q2':36s} {bench(kernels.matmul_mod, a, b, 2) * 1e6:10.1f}us")
+
+
+def encoder_table(quick: bool):
+    """The lifted system of one N=72 code, by dense elimination and by
+    ``rref_mod`` (row-sparse generic kernel, packed at q = 2)."""
+    print(f"\n{'N=72 encoder system':20s} {'dense loop':>11s} {'rref_mod':>10s} {'speedup':>8s}")
+    for q in (3,) if quick else (2, 3, 5):
+        code = build_code(validate_params(q, *N72), 3, 6, np.random.default_rng(5))
+        a = code.constraint_matrix()
+        t_dense = bench(dense_rref_reference, a, q, repeat=1 if quick else 3, budget=0)
+        t_fast = bench(kernels.rref_mod, a, q, repeat=3, budget=0.2)
+        print(f"{f'q={q} {a.shape[0]}x{a.shape[1]}':20s} {t_dense * 1e3:9.1f}ms {t_fast * 1e3:8.1f}ms "
+              f"{t_dense / t_fast:7.1f}x")
+
+
+def decode_round_table(quick: bool):
+    """ms per ``iterate`` call at N=72 over the first recovered trials' rounds,
+    each run until every row is decided (at most 20 rounds)."""
+    print(f"\n{'N=72 decode':20s} {'trials':>6s} {'rounds':>7s} {'ms/round':>9s}")
+    for q in (2, 3):
+        params = validate_params(q, *N72)
+        trials = rounds = 0
+        busy = 0.0
+        for seed in range(100):
+            if trials == (1 if quick else 3):
+                break
+            rng = np.random.default_rng([seed])
+            code = build_code(params, 3, 6, rng)
+            info = rng.integers(0, q, size=code.info_length(), dtype=np.int64)
+            y = transmit(encode(code, info), params, rng).y
+            w = recover_noise_space(y, params, code.omega_prime)
+            if w.dim != params.s:
+                continue
+            trials += 1
+            state = init_messages(y, w, code)
+            while state.t < 20 and not decide(state, code)[1].all():
+                t0 = time.perf_counter()
+                state = iterate(state, code)
+                busy += time.perf_counter() - t0
+                rounds += 1
+        print(f"{f'q={q}':20s} {trials:6d} {rounds:7d} {busy / max(rounds, 1) * 1e3:8.1f}")
 
 
 def packed_table(rng, quick: bool):
@@ -180,6 +231,8 @@ def main():
     args = ap.parse_args()
     rng = np.random.default_rng(0)
     generic_table(rng, args.quick)
+    encoder_table(args.quick)
+    decode_round_table(args.quick)
     packed_table(rng, args.quick)
     crossover(rng)
     batch_table(rng)

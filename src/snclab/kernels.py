@@ -9,14 +9,17 @@ exported here:
     rank_mod_batch(a, q)  -> ranks of a (B, r, c) stack
     matmul_mod(a, b, q)
 
-The generic kernel ``_rref_numpy`` eliminates one column at a time with
-vectorised row operations.  At q = 2, matrices of at least
+The generic kernel ``_rref_numpy`` eliminates one column at a time.  At each
+pivot it updates only the rows with a nonzero entry in the pivot column, and
+only from the pivot column on (the pivot row is zero to its left), so a
+block-sparse system such as the lifted encoder's (one m x m label per edge)
+costs its fill-in, not its full size.  At q = 2, matrices of at least
 ``GF2_PACKED_MIN_CELLS`` entries take the M4RI-style packed path instead
 (Albrecht, Bard & Hart, "Algorithm 898", ACM TOMS 2010): each row is held as
 ``uint64`` words and elimination is a row XOR from the pivot word onward.
 The RREF is canonical, so it returns exactly what ``_rref_numpy`` would;
-smaller shapes and odd q keep ``_rref_numpy``, which also serves as the
-packed path's test oracle.
+smaller shapes and odd q keep ``_rref_numpy``.  The tests check both against
+a dense full-matrix elimination loop.
 
 ``rank_mod_batch`` eliminates a whole stack of small matrices at once, one
 column at a time for every matrix together, so thousands of tiny ranks cost a
@@ -35,42 +38,52 @@ import numpy as np
 DTYPE = np.int64
 
 
+def _work_dtype(q: int) -> np.dtype:
+    """Narrowest signed dtype that holds a - b * c for a, b, c in [0, q)."""
+    return np.min_scalar_type(-((q - 1) ** 2))
+
+
 def _rref_numpy(a, q):
-    r = a.copy()
+    r = a.astype(_work_dtype(q))
     rows, cols = r.shape
     pivots = []
     rank = 0
     for col in range(cols):
-        nz = np.nonzero(r[rank:, col])[0]
-        if nz.size == 0:
+        hit = r[:, col].nonzero()[0]
+        i = hit.searchsorted(rank)
+        if i == hit.size:
             continue
-        p = rank + int(nz[0])
+        p = hit[i]
+        # rows at and below `rank` are zero left of `col`, pivot row included
+        pivot = r[p, col:]
+        if pivot[0] != 1:
+            pivot *= pow(int(pivot[0]), q - 2, q)
+            pivot %= q
+        if hit.size > 1:
+            sub = r[hit, col:]
+            sub -= sub[:, :1] * pivot
+            sub %= q
+            sub[i] = pivot
+            r[hit, col:] = sub
         if p != rank:
             r[[rank, p]] = r[[p, rank]]
-        v = int(r[rank, col])
-        if v != 1:
-            r[rank] = (r[rank] * pow(v, q - 2, q)) % q
-        f = r[:, col].copy()
-        f[rank] = 0
-        r -= np.outer(f, r[rank])
-        r %= q
         pivots.append(col)
         rank += 1
         if rank == rows:
             break
-    return r, rank, np.array(pivots, dtype=DTYPE)
+    return r.astype(DTYPE), rank, np.array(pivots, dtype=DTYPE)
 
 
 # ---------------------------------------------------------------------------
 # bit-packed GF(2) path: bit j of a row is bit j % 64 of word j // 64
 # ---------------------------------------------------------------------------
 
-# Smallest rows * cols for which the packed path beats ``_rref_numpy`` at
-# q = 2.  In repeated runs of the crossover sweep of
-# ``benchmarks/bench_kernels.py`` (numpy 2.4, 2 CPUs) the packed path was at
-# least as fast on every swept shape from 648 cells (18x36) up, with ties at
-# 576 cells and at 12x72, and slower below 576; so 12x36 and the deviation
-# grid's m <= 7 shapes stay on the numpy kernel.
+# Smallest rows * cols sent to the packed path at q = 2.  In three runs of
+# the crossover sweep of ``benchmarks/bench_kernels.py`` (numpy 2.4, 2 CPUs)
+# the packed path beat the row-sparse ``_rref_numpy`` on every swept shape
+# from 1152-1728 cells up and mostly lost below 576; in between, single
+# shapes swung from 0.6x to 1.5x from run to run, a tie.  So 12x36 and the
+# deviation grid's m <= 7 shapes stay on the numpy kernel.
 GF2_PACKED_MIN_CELLS = 640
 
 _WORD = np.dtype("<u8")
@@ -180,12 +193,9 @@ def _inverses(q: int) -> np.ndarray:
 
 
 def _rank_batch_generic(a: np.ndarray, q: int) -> np.ndarray:
-    # entries minus products of two entries stay above -(q-1)^2, so small q
-    # run in a narrow dtype
-    work = np.min_scalar_type(-((q - 1) ** 2))
-    a = a.astype(work)
+    a = a.astype(_work_dtype(q))
     batch, rows, cols = a.shape
-    inv = _inverses(q).astype(work)
+    inv = _inverses(q).astype(a.dtype)
     ranks = np.zeros(batch, dtype=DTYPE)
     at = np.arange(batch)
     for col in range(cols):

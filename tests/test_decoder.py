@@ -9,6 +9,7 @@ from snclab.channel import transmit, validate_params
 from snclab.decoder import (
     DecoderConfig,
     EmptyIntersectionFault,
+    MessageState,
     decide,
     decode,
     init_messages,
@@ -19,7 +20,7 @@ from snclab.decoder import (
     wrong_determinations,
 )
 from snclab.ensemble import TannerGraph, build_code, encode, lift
-from snclab.linalg import Subspace, random_rank_matrix, row_space
+from snclab.linalg import AffineSubspace, Subspace, random_rank_matrix, row_space
 
 
 def params_n24():
@@ -192,25 +193,100 @@ def test_label_rotation_pins_rows_in_one_round():
     assert not x_hat.any()
 
 
-def test_degree_one_check_pins_immediately():
-    # graph: var0 edges to check0 (degree 1) and check1; var1 to check1, check2 (degree 1)
+def degree_one_trial():
+    """var0 has edges to check0 (degree 1) and check1; var1 to check1 and
+    check2 (degree 1).  The only codeword with a degree-1 check on each
+    variable is x = 0, so y is the noise."""
     p = validate_params(2, 6, Fraction(1, 2), Fraction(1, 3))
     graph = TannerGraph(
         n_v=2,
         check_degrees=(1, 2, 1),
         edges=((0, 0, 0), (0, 1, 0), (1, 1, 1), (1, 2, 0)),
     )
-    rng = np.random.default_rng(4)
-    code = lift(graph, p, rng)
-    # only codeword with a degree-1 check on each variable: x_i = 0
+    code = lift(graph, p, np.random.default_rng(4))
     w = Subspace.from_rows([[1, 1, 0]], p.q)
-    noise = np.array([[1, 1, 0], [0, 0, 0], [1, 1, 0]], dtype=np.int64)
-    y = noise  # x = 0
+    y = np.array([[1, 1, 0], [0, 0, 0], [1, 1, 0]], dtype=np.int64)
+    return code, y, w
+
+
+def test_degree_one_check_pins_immediately():
+    code, y, w = degree_one_trial()
     state = init_messages(y, w, code)
     nxt = iterate(state, code)
     x_hat, determined = decide(nxt, code)
     assert determined.all()
     assert not x_hat.any()
+
+
+# ---------------------------------------------------------------------------
+# check node against the plain prefix/suffix loop
+# ---------------------------------------------------------------------------
+
+
+def reference_iterate(state, code):
+    """One flooding round with every leave-one-out sum built as
+    prefix[pos] + suffix[pos + 1] from the zero point up: 3d adds per check."""
+    q, m = code.params.q, code.params.m
+    graph = code.graph
+    inverses = code.label_inverses()
+    zero_point = AffineSubspace.point(np.zeros(m, dtype=np.int64), q)
+    imaged = [state.messages[e].image(code.labels[e]) for e in range(graph.n_e)]
+    check_out = [None] * graph.n_e
+    for edges_of_c in graph.check_edges():
+        prefix = [zero_point]
+        for e in edges_of_c:
+            prefix.append(prefix[-1].add(imaged[e]))
+        suffix = [zero_point]
+        for e in reversed(edges_of_c):
+            suffix.append(suffix[-1].add(imaged[e]))
+        suffix.reverse()
+        for pos, e in enumerate(edges_of_c):
+            check_out[e] = prefix[pos].add(suffix[pos + 1]).negate().image(inverses[e])
+    new_messages = [None] * graph.n_e
+    for v, (e1, e2) in enumerate(graph.var_edges()):
+        anchor = state.anchors[v]
+        new_messages[e1] = anchor.intersect(check_out[e2])
+        new_messages[e2] = anchor.intersect(check_out[e1])
+    return MessageState(messages=tuple(new_messages), anchors=state.anchors, t=state.t + 1)
+
+
+def recovered_trial(q, N, k, b):
+    """The first seed's code and received word whose noise space is recovered."""
+    for seed in range(100):
+        p, code, x, out = make_trial(seed, N=N, k=k, b=b, q=q)
+        w = recover_noise_space(out.y, p, code.omega_prime)
+        if w.dim == p.s:
+            return code, out.y, w
+    raise AssertionError("no trial recovered its noise space")
+
+
+CHECK_NODE_CASES = {
+    "q2 rho*(3,6) N72": lambda: recovered_trial(2, 72, 3, 6),
+    "q3 rho*(3,6) N72": lambda: recovered_trial(3, 72, 3, 6),
+    "q2 rho*(2,5) N24": lambda: recovered_trial(2, 24, 2, 5),
+    "degree-one checks": degree_one_trial,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_NODE_CASES))
+def test_check_node_matches_prefix_suffix_loop(case, monkeypatch):
+    code, y, w = CHECK_NODE_CASES[case]()
+    degrees = [len(edges) for edges in code.graph.check_edges()]
+    if case == "q2 rho*(2,5) N24":
+        assert 2 in degrees
+    adds = []
+    add = AffineSubspace.add
+    monkeypatch.setattr(AffineSubspace, "add", lambda a, b: adds.append(1) or add(a, b))
+    state = init_messages(y, w, code)
+    for _ in range(3):
+        want = reference_iterate(state, code)
+        adds.clear()
+        state = iterate(state, code)
+        assert len(adds) == sum(max(0, 3 * d - 6) for d in degrees)
+        assert state.t == want.t
+        assert state.messages == want.messages
+        if decide(state, code)[1].all():
+            break
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Kernel equivalence: the bit-packed GF(2) paths and the batched rank must
-return the same canonical RREF, rank and pivots as the generic numpy kernel
-``_rref_numpy``, which is their oracle."""
+"""Kernel equivalence: the row-sparse generic kernel ``_rref_numpy``, the
+bit-packed GF(2) paths and the batched rank must return the same canonical
+RREF, rank and pivots as ``dense_rref_reference``, a dense full-matrix
+elimination loop that is their oracle."""
 
 import os
 import subprocess
@@ -16,6 +17,42 @@ from hypothesis import strategies as st
 from snclab import kernels
 from snclab.channel import validate_params
 from snclab.ensemble import build_code
+
+
+def dense_rref_reference(a, q):
+    """Canonical RREF by dense elimination: at every pivot, subtract a multiple
+    of the pivot row from every row, over all columns, in int64."""
+    r = np.array(a, dtype=np.int64)
+    rows, cols = r.shape
+    pivots = []
+    rank = 0
+    for col in range(cols):
+        nz = np.nonzero(r[rank:, col])[0]
+        if nz.size == 0:
+            continue
+        p = rank + int(nz[0])
+        if p != rank:
+            r[[rank, p]] = r[[p, rank]]
+        v = int(r[rank, col])
+        if v != 1:
+            r[rank] = (r[rank] * pow(v, q - 2, q)) % q
+        f = r[:, col].copy()
+        f[rank] = 0
+        r -= np.outer(f, r[rank])
+        r %= q
+        pivots.append(col)
+        rank += 1
+        if rank == rows:
+            break
+    return r, rank, np.array(pivots, dtype=np.int64)
+
+
+def _assert_matches_reference(got, a, q):
+    r, rank, piv = dense_rref_reference(a, q)
+    r2, rank2, piv2 = got
+    assert rank2 == rank
+    assert r2.dtype == r.dtype and np.array_equal(r2, r)
+    assert piv2.dtype == piv.dtype and np.array_equal(piv2, piv)
 
 
 def _random_cases(rng, n_cases=60):
@@ -72,12 +109,8 @@ def test_matmul_shape_mismatch():
 
 
 def _assert_same_rref(a):
-    r, rank, piv = kernels._rref_numpy(a, 2)
-    r2, rank2, piv2 = kernels._rref_gf2(a)
-    assert rank2 == rank
-    assert r2.dtype == r.dtype and np.array_equal(r2, r)
-    assert piv2.dtype == piv.dtype and np.array_equal(piv2, piv)
-    assert kernels._rank_gf2(a) == rank
+    _assert_matches_reference(kernels._rref_gf2(a), a, 2)
+    assert kernels._rank_gf2(a) == dense_rref_reference(a, 2)[1]
 
 
 # column counts on both sides of the 64-bit word boundaries
@@ -105,7 +138,7 @@ def test_packed_gf2_low_rank_and_duplicate_rows(rows, cols, rank, seed):
     rng = np.random.default_rng(seed)
     a = (rng.integers(0, 2, (rows, rank)) @ rng.integers(0, 2, (rank, cols))) % 2
     _assert_same_rref(a)
-    assert kernels.rank_mod(a, 2) == kernels._rref_numpy(a, 2)[1]
+    assert kernels.rank_mod(a, 2) == dense_rref_reference(a, 2)[1]
 
 
 def test_packed_gf2_on_encoder_system():
@@ -116,27 +149,77 @@ def test_packed_gf2_on_encoder_system():
     _assert_same_rref(system)
 
 
+def _sparse(rng, q, shape, density):
+    return (rng.random(shape) < density) * rng.integers(1, q, shape)
+
+
+def _block_sparse_system(rng, q, m, n_v, n_c, density):
+    """A lifted system shaped like ``LiftedCode.constraint_matrix``: n_c x n_v
+    blocks of m x m, each variable with blocks in two distinct checks."""
+    a = np.zeros((n_c * m, n_v * m), dtype=np.int64)
+    for v in range(n_v):
+        for c in rng.choice(n_c, 2, replace=False):
+            a[c * m : (c + 1) * m, v * m : (v + 1) * m] = _sparse(rng, q, (m, m), density)
+    return a
+
+
+# the generic kernel on every field it serves: odd q, and q = 2 below the
+# packed path's threshold; tall and wide shapes, block-sparse lifted systems,
+# densities from 0 to 1 and low-rank products
+@settings(max_examples=300, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 5, 7]),
+    kind=st.sampled_from(["random", "low rank", "lifted"]),
+    shape=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+    tall=st.booleans(),
+    rank=st.integers(0, 8),
+    blocks=st.tuples(st.integers(1, 5), st.integers(1, 8), st.integers(2, 5)),
+    density=st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.9, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_generic_rref_matches_dense_reference(q, kind, shape, tall, rank, blocks, density, seed):
+    rng = np.random.default_rng(seed)
+    rows, cols = sorted(shape, reverse=tall)
+    if kind == "random":
+        a = _sparse(rng, q, (rows, cols), density)
+    elif kind == "low rank":
+        a = (_sparse(rng, q, (rows, rank), density) @ _sparse(rng, q, (rank, cols), density)) % q
+    else:
+        a = _block_sparse_system(rng, q, *blocks, density)
+    if q == 2:  # keep q = 2 on the generic kernel
+        a = a[: (kernels.GF2_PACKED_MIN_CELLS - 1) // max(1, a.shape[1])]
+    _assert_matches_reference(kernels._rref_numpy(np.ascontiguousarray(a, dtype=np.int64), q), a, q)
+    assert kernels.rank_mod(a, q) == dense_rref_reference(a, q)[1]
+
+
+def test_generic_rref_on_odd_q_encoder_system():
+    params = validate_params(3, 72, Fraction(1, 2), Fraction(1, 3))
+    code = build_code(params, 3, 6, np.random.default_rng(5))
+    system = code.constraint_matrix()
+    assert system.shape == (468, 864)
+    _assert_matches_reference(kernels.rref_mod(system, 3), system, 3)
+    assert code.info_length() == 396
+
+
 def test_rank_mod_agrees_with_reference():
     rng = np.random.default_rng(12)
     for q in (2, 3, 5):
         for rows, cols in [(0, 5), (3, 4), (12, 36), (24, 72), (72, 36), (40, 129)]:
             a = rng.integers(0, q, (rows, cols), dtype=np.int64)
-            assert kernels.rank_mod(a, q) == kernels._rref_numpy(a, q)[1]
+            assert kernels.rank_mod(a, q) == dense_rref_reference(a, q)[1]
 
 
 def test_dispatch_by_field_and_shape(monkeypatch):
     calls = []
-    monkeypatch.setattr(kernels, "_rref_gf2", lambda a: calls.append(a.shape) or kernels._rref_numpy(a, 2))
-    monkeypatch.setattr(kernels, "_rank_gf2", lambda a: calls.append(a.shape) or kernels._rref_numpy(a, 2)[1])
+    monkeypatch.setattr(kernels, "_rref_gf2", lambda a: calls.append(a.shape) or dense_rref_reference(a, 2))
+    monkeypatch.setattr(kernels, "_rank_gf2", lambda a: calls.append(a.shape) or dense_rref_reference(a, 2)[1])
     rng = np.random.default_rng(13)
     big = (40, 72)
     assert big[0] * big[1] >= kernels.GF2_PACKED_MIN_CELLS
     for q in (3, 5):
         a = rng.integers(0, q, big, dtype=np.int64)
-        r, rank, piv = kernels.rref_mod(a, q)
-        want = kernels._rref_numpy(a, q)
-        assert np.array_equal(r, want[0]) and rank == want[1] and np.array_equal(piv, want[2])
-        assert kernels.rank_mod(a, q) == want[1]
+        _assert_matches_reference(kernels.rref_mod(a, q), a, q)
+        assert kernels.rank_mod(a, q) == dense_rref_reference(a, q)[1]
     small = rng.integers(0, 2, (12, 36), dtype=np.int64)
     assert small.size < kernels.GF2_PACKED_MIN_CELLS
     kernels.rref_mod(small, 2)
