@@ -14,8 +14,9 @@ Eight tables and one end-to-end figure:
   decided;
 - packed vs generic: ``rref_mod`` and ``rank_mod`` at q = 2 on the
   decoder-size, population-DE and a dense 468x864 shape;
-- crossover sweep: packed vs generic RREF over rows x cols at q = 2, the
-  source of ``kernels.GF2_PACKED_MIN_CELLS``;
+- decoder call mix: every ``rref_mod`` call of one recovered q = 2 N=72
+  decode, recorded and timed by the generic and the packed kernel per
+  shape, against which ``kernels.GF2_PACKED_MIN_CELLS`` is checked;
 - batched rank: ``rank_mod_batch`` on 256 matrices against a ``rank_mod``
   loop, on the deviation grid's square shapes; at q = 2 also the generic
   column loop that the one-word packed path replaces;
@@ -37,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from snclab import kernels, linalg
+from snclab import ensemble, kernels, linalg
 from snclab.channel import transmit, validate_params
 from snclab.de import PopulationDeConfig, population_de_run
 from snclab.decoder import DecoderConfig, decide, decode, init_messages, iterate, recover_noise_space
@@ -73,7 +74,7 @@ def generic_table(rng, quick: bool):
     cases = [
         ("rref 24x72 q2 (decoder-size)", binary(rng, 24, 72), 2),
         ("rref 72x36 q2 (population DE)", binary(rng, 72, 36), 2),
-        ("rref 37x73 q3 (decoder intersect)", rng.integers(0, 3, (37, 73), dtype=np.int64), 3),
+        ("rref 73x49 q3 (decoder meet)", rng.integers(0, 3, (73, 49), dtype=np.int64), 3),
         ("rref 120x240 q3", rng.integers(0, 3, (120, 240), dtype=np.int64), 3),
     ]
     if quick:
@@ -98,25 +99,29 @@ def encoder_table(quick: bool):
               f"{t_dense / t_fast:7.1f}x")
 
 
+def recovered_trial(params, seed0=0):
+    """Code and received word of the first seed whose noise space is recovered."""
+    for seed in range(seed0, seed0 + 100):
+        rng = np.random.default_rng([seed])
+        code = build_code(params, 3, 6, rng)
+        info = rng.integers(0, params.q, size=code.info_length(), dtype=np.int64)
+        y = transmit(encode(code, info), params, rng).y
+        w = recover_noise_space(y, params, code.omega_prime)
+        if w.dim == params.s:
+            return code, y, w, seed
+    raise RuntimeError("no trial recovered its noise space")
+
+
 def decode_round_table(quick: bool):
     """ms per ``iterate`` call at N=72 over the first recovered trials' rounds,
     each run until every row is decided (at most 20 rounds)."""
     print(f"\n{'N=72 decode':20s} {'trials':>6s} {'rounds':>7s} {'ms/round':>9s}")
     for q in (2, 3):
         params = validate_params(q, *N72)
-        trials = rounds = 0
-        busy = 0.0
-        for seed in range(100):
-            if trials == (1 if quick else 3):
-                break
-            rng = np.random.default_rng([seed])
-            code = build_code(params, 3, 6, rng)
-            info = rng.integers(0, q, size=code.info_length(), dtype=np.int64)
-            y = transmit(encode(code, info), params, rng).y
-            w = recover_noise_space(y, params, code.omega_prime)
-            if w.dim != params.s:
-                continue
-            trials += 1
+        trials = 1 if quick else 3
+        rounds, busy, seed = 0, 0.0, -1
+        for _ in range(trials):
+            code, y, w, seed = recovered_trial(params, seed + 1)
             state = init_messages(y, w, code)
             while state.t < 20 and not decide(state, code)[1].all():
                 t0 = time.perf_counter()
@@ -139,26 +144,52 @@ def packed_table(rng, quick: bool):
               f"{t_rk * 1e3:10.3f}ms")
 
 
-def crossover(rng):
-    """Packed vs generic RREF at q = 2 on square-ish and wide shapes; prints
-    the smallest cell count from which packed wins on every larger shape."""
-    shapes = sorted(
-        {(r, c) for c in (12, 24, 36, 72) for r in (6, 12, 18, 24, 36, 48)},
-        key=lambda s: (s[0] * s[1], s),
-    )
-    print(f"\n{'crossover sweep':20s} {'cells':>6s} {'generic':>10s} {'packed':>10s} {'ratio':>7s}")
-    wins = []
-    for rows, cols in shapes:
-        a = binary(rng, rows, cols)
-        t_gen = bench(kernels._rref_numpy, a, 2, budget=0.02)
-        t_pk = bench(kernels._rref_gf2, a, budget=0.02)
-        wins.append((rows * cols, t_pk < t_gen))
-        print(f"{f'{rows}x{cols}':20s} {rows * cols:6d} {t_gen * 1e3:8.3f}ms {t_pk * 1e3:8.3f}ms "
-              f"{t_gen / t_pk:6.2f}x")
-    losses = [cells for cells, won in wins if not won]
-    above = [cells for cells, _ in wins if not losses or cells > max(losses)]
-    print(f"packed wins on every swept shape from {min(above) if above else 'none'} cells up; "
-          f"dispatch constant GF2_PACKED_MIN_CELLS = {kernels.GF2_PACKED_MIN_CELLS}")
+def call_mix():
+    """Every ``rref_mod`` call of one recovered q = 2 N=72 decode, grouped by
+    shape and timed by both kernels (best of 3 passes over the recorded
+    matrices).  Prints the totals per cell range and the dispatch threshold
+    that would make the whole mix fastest."""
+    code, y, _, _ = recovered_trial(validate_params(2, *N72))
+    calls = {}
+
+    def recording(a, q):
+        calls.setdefault(np.shape(a), []).append(np.array(a))
+        return kernels.rref_mod(a, q)
+
+    saved = linalg.rref_mod, ensemble.rref_mod
+    linalg.rref_mod = ensemble.rref_mod = recording
+    try:
+        decode(y, code, DecoderConfig(max_iters=20))
+    finally:
+        linalg.rref_mod, ensemble.rref_mod = saved
+
+    def total(kernel, mats):
+        return bench(lambda: [kernel(a) for a in mats], repeat=3, budget=0)
+
+    times = {
+        shape: (total(lambda a: kernels._rref_numpy(a, 2), mats), total(kernels._rref_gf2, mats))
+        for shape, mats in calls.items()
+    }
+    print(f"\n{'q=2 N=72 decode mix':20s} {'calls':>6s} {'generic':>10s} {'packed':>10s} {'ratio':>7s}")
+    edges = [0, 640, 1280, 2560, float("inf")]
+    for lo, hi in zip(edges, edges[1:]):
+        group = [s for s in calls if lo <= s[0] * s[1] < hi]
+        if not group:
+            continue
+        t_gen = sum(times[s][0] for s in group)
+        t_pk = sum(times[s][1] for s in group)
+        label = f"{lo}-{hi - 1} cells" if hi < edges[-1] else f">= {lo} cells"
+        print(f"{label:20s} {sum(len(calls[s]) for s in group):6d} {t_gen * 1e3:8.2f}ms "
+              f"{t_pk * 1e3:8.2f}ms {t_gen / t_pk:6.2f}x")
+
+    def dispatched(threshold):
+        return sum(times[s][s[0] * s[1] >= threshold] for s in calls)
+
+    candidates = sorted({s[0] * s[1] for s in calls} | {kernels.GF2_PACKED_MIN_CELLS})
+    best = min(candidates, key=dispatched)
+    print(f"mix at GF2_PACKED_MIN_CELLS = {kernels.GF2_PACKED_MIN_CELLS}: "
+          f"{dispatched(kernels.GF2_PACKED_MIN_CELLS) * 1e3:.2f}ms; "
+          f"fastest threshold {best} cells: {dispatched(best) * 1e3:.2f}ms")
 
 
 def batch_table(rng):
@@ -234,7 +265,7 @@ def main():
     encoder_table(args.quick)
     decode_round_table(args.quick)
     packed_table(rng, args.quick)
-    crossover(rng)
+    call_mix()
     batch_table(rng)
     label_table()
     population_table(args.quick)

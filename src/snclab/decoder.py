@@ -6,22 +6,21 @@ abar the other check of variable i, a full flooding round applies
     W_{i->a}^{t+1} = (y_i + W)  ∩  [ sum_{j in d(abar), j != i} W_{j->abar} h_{j,abar} ] h_{i,abar}^{-1}
 
 simultaneously on all directed edges; a row is decided once its two messages
-intersect in a single point.  A check node skips the trivial sums (with the
-zero point, and the full sum no edge reads): 3d - 6 additions at degree d >= 2.
+intersect in a single point.  Sums and images need no canonical form, so the
+decoder makes one elimination per directed edge per round: its anchor's meet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .channel import SncParams
 from .ensemble import LiftedCode, constrained_rows
-from .kernels import DTYPE
+from .kernels import DTYPE, matmul_mod
 from .linalg import AffineSubspace, Subspace, as_matrix, row_space
 
 
@@ -103,39 +102,32 @@ def init_messages(y: np.ndarray, w: Subspace, code: LiftedCode) -> MessageState:
     return MessageState(messages=messages, anchors=anchors, t=0)
 
 
-def _leave_one_out_sums(terms: List[AffineSubspace]) -> List[AffineSubspace]:
-    """``sum_{j != i} terms[j]`` for every i, from prefix and suffix sums that
-    never start at the zero point: 3d - 6 adds for d >= 2 terms.  A lone
-    term's leave-one-out sum is empty, the zero point."""
-    if len(terms) < 2:
-        return [AffineSubspace.point(np.zeros(t.ambient, dtype=DTYPE), t.q) for t in terms]
-    prefix = list(accumulate(terms[:-1], AffineSubspace.add))  # terms[0] + ... + terms[i]
-    suffix = list(accumulate(terms[:0:-1], AffineSubspace.add))[::-1]  # terms[i+1] + ... + terms[-1]
-    return [suffix[0], *(a.add(b) for a, b in zip(prefix, suffix[1:])), prefix[-1]]
-
-
 def iterate(state: MessageState, code: LiftedCode) -> MessageState:
-    """One flooding round; every edge updates from iteration-t values."""
-    labels = code.labels
+    """One flooding round; every edge updates from iteration-t values.
+
+    Images stay raw: row 0 the offset times the label, the rest the direction
+    basis times it.  The check equation gives x_i = -(sum_{j != i} x_j h_j)
+    h_i^{-1}, so edge i's check output is the point (x_i h_i - sum_j x_j h_j)
+    h_i^{-1} (the negation is a no-op at q = 2) and the other edges' rows
+    times h_i^{-1}."""
+    q, graph = code.params.q, code.graph
     inverses = code.label_inverses()
-    graph = code.graph
-
-    imaged = [state.messages[e].image(labels[e]) for e in range(graph.n_e)]
-
-    # check outputs: leave-one-out sums; the check equation gives
-    # x_i = -(sum_{j != i} x_j h_j) h_i^{-1}, so the sum is negated before the
-    # inverse image (a no-op at q = 2)
-    check_out: List[Optional[AffineSubspace]] = [None] * graph.n_e
+    imaged = [
+        matmul_mod(np.vstack([msg.offset, msg.direction.basis]), h, q)
+        for msg, h in zip(state.messages, code.labels)
+    ]
+    check_out = [None] * graph.n_e
     for edges_of_c in graph.check_edges():
-        sums = _leave_one_out_sums([imaged[e] for e in edges_of_c])
-        for e, loo in zip(edges_of_c, sums):
-            check_out[e] = loo.negate().image(inverses[e])
+        total = sum(imaged[e][0] for e in edges_of_c)
+        for e in edges_of_c:
+            others = [imaged[j][1:] for j in edges_of_c if j != e]
+            check_out[e] = matmul_mod(np.vstack([imaged[e][0] - total, *others]), inverses[e], q)
 
-    new_messages: List[Optional[AffineSubspace]] = [None] * graph.n_e
-    for v, (e1, e2) in enumerate(code.graph.var_edges()):
+    new_messages = [None] * graph.n_e
+    for v, (e1, e2) in enumerate(graph.var_edges()):
         anchor = state.anchors[v]
-        m1 = anchor.intersect(check_out[e2])
-        m2 = anchor.intersect(check_out[e1])
+        m1 = anchor.meet(check_out[e2][0], check_out[e2][1:])
+        m2 = anchor.meet(check_out[e1][0], check_out[e1][1:])
         if m1 is None or m2 is None:
             raise EmptyIntersectionFault(
                 f"empty affine intersection at variable {v}, iteration {state.t + 1}"

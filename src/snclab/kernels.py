@@ -78,13 +78,13 @@ def _rref_numpy(a, q):
 # bit-packed GF(2) path: bit j of a row is bit j % 64 of word j // 64
 # ---------------------------------------------------------------------------
 
-# Smallest rows * cols sent to the packed path at q = 2.  In three runs of
-# the crossover sweep of ``benchmarks/bench_kernels.py`` (numpy 2.4, 2 CPUs)
-# the packed path beat the row-sparse ``_rref_numpy`` on every swept shape
-# from 1152-1728 cells up and mostly lost below 576; in between, single
-# shapes swung from 0.6x to 1.5x from run to run, a tie.  So 12x36 and the
-# deviation grid's m <= 7 shapes stay on the numpy kernel.
-GF2_PACKED_MIN_CELLS = 640
+# Smallest rows * cols sent to the packed path at q = 2.  Timed on the
+# recorded calls of one N=72 decode (``benchmarks/bench_kernels.py``, numpy
+# 2.4, 2 CPUs), the packed path beats the row-sparse ``_rref_numpy`` from
+# 27x49 = 1323 cells up, ties at 1274 and loses or ties below (0.4-0.99x),
+# so the small meets, 12x36 and the deviation grid's shapes stay on the
+# numpy kernel.
+GF2_PACKED_MIN_CELLS = 1280
 
 _WORD = np.dtype("<u8")
 _BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)

@@ -290,17 +290,18 @@ class Subspace:
         return Subspace.from_rows(stacked, self.q, self.ambient)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: row reduce [[U U], [V 0]]; the rows with zero left
-        block are the RREF basis of U & V in their right block."""
+        """Zassenhaus in U's coordinates: row reduce [[U I], [V 0]]; the rows
+        with zero left block end in the RREF coordinates C of U & V, and C*U
+        is RREF since U is."""
         _check_same_space(self, other)
         m, du = self.ambient, self.dim
-        block = np.zeros((du + other.dim, 2 * m), dtype=DTYPE)
+        block = np.zeros((du + other.dim, m + du), dtype=DTYPE)
         block[:du, :m] = self.basis
-        block[:du, m:] = self.basis
+        block[:du, m:] = np.eye(du, dtype=DTYPE)
         block[du:, :m] = other.basis
         r, rk, piv = rref_mod(block, self.q)
         k = int(np.searchsorted(piv, m))
-        return Subspace(np.ascontiguousarray(r[k:rk, m:]), self.q, m)
+        return Subspace(matmul_mod(r[k:rk, m:], self.basis, self.q), self.q, m)
 
     def transformed(self, h: np.ndarray) -> "Subspace":
         """Right action basis -> basis*h, re-canonicalized."""
@@ -432,32 +433,37 @@ class AffineSubspace:
         return AffineSubspace((-self.offset) % self.q, self.direction)
 
     def intersect(self, other: "AffineSubspace") -> Optional["AffineSubspace"]:
-        """Set intersection; None when the cosets are disjoint.
-
-        Homogeneous Zassenhaus: row reduce [[U 0 U], [V 0 0], [a-b 1 a]]
-        (left m | flag | right m columns).  A row with zero left block is
-        (0, t, x) with x in (a + U) & (b + V) for t = 1 and x in U & V for
-        t = 0.  So the cosets meet iff the flag column is a pivot; its row
-        then holds the canonical offset, already cleared at the pivots of the
-        rows below it, which are the RREF basis of U & V.
-        """
+        """Set intersection; None when the cosets are disjoint."""
         _check_same_space(self.direction, other.direction)
+        return self.meet(other.offset, other.direction.basis)
+
+    def meet(self, offset: np.ndarray, rows: np.ndarray) -> Optional["AffineSubspace"]:
+        """Intersection with b + span(rows), for any member b and any
+        spanning set (zero, repeated or no rows); None when disjoint.
+
+        Row reduce [[U 0 I], [V 0 0], [a-b 1 0]] (left m | flag | right du
+        columns).  A row (0, t, c) puts a + c*U in both cosets for t = 1 and
+        c*U in U & V for t = 0, so the cosets meet iff the flag column is a
+        pivot.  C*U is RREF since U is, and a + c*U is canonical since a is
+        zero at U's pivots and c at C's.
+        """
         q, m = self.q, self.ambient
-        u, v = self.direction.basis, other.direction.basis
-        du, dv = u.shape[0], v.shape[0]
-        block = np.zeros((du + dv + 1, 2 * m + 1), dtype=DTYPE)
+        u = self.direction.basis
+        rows = np.asarray(rows, dtype=DTYPE).reshape(-1, m)
+        du, dv = u.shape[0], rows.shape[0]
+        block = np.zeros((du + dv + 1, m + 1 + du), dtype=DTYPE)
         block[:du, :m] = u
-        block[:du, m + 1 :] = u
-        block[du : du + dv, :m] = v
-        block[-1, :m] = (self.offset - other.offset) % q
+        block[:du, m + 1 :] = np.eye(du, dtype=DTYPE)
+        block[du : du + dv, :m] = rows % q
+        block[-1, :m] = (self.offset - np.asarray(offset, dtype=DTYPE)) % q
         block[-1, m] = 1
-        block[-1, m + 1 :] = self.offset
         r, rk, piv = rref_mod(block, q)
         k = int(np.searchsorted(piv, m))
         if k == rk or piv[k] != m:
             return None
-        direction = Subspace(np.ascontiguousarray(r[k + 1 : rk, m + 1 :]), q, m)
-        return AffineSubspace(r[k, m + 1 :].copy(), direction)
+        coords = r[k:rk, m + 1 :]
+        point = (self.offset + coords[0] @ u) % q
+        return AffineSubspace(point, Subspace(matmul_mod(coords[1:], u, q), q, m))
 
     def enumerate_vectors(self) -> Iterator[np.ndarray]:
         for v in self.direction.enumerate_vectors():

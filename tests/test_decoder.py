@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from snclab import ensemble, kernels, linalg
 from snclab.channel import transmit, validate_params
 from snclab.decoder import (
     DecoderConfig,
@@ -274,15 +275,24 @@ def test_check_node_matches_prefix_suffix_loop(case, monkeypatch):
     degrees = [len(edges) for edges in code.graph.check_edges()]
     if case == "q2 rho*(2,5) N24":
         assert 2 in degrees
-    adds = []
-    add = AffineSubspace.add
-    monkeypatch.setattr(AffineSubspace, "add", lambda a, b: adds.append(1) or add(a, b))
+    code.label_inverses()  # fill the cache before counting
+    calls = []
+    for module in (linalg, ensemble):
+        monkeypatch.setattr(
+            module, "rref_mod", lambda a, q: calls.append("rref_mod") or kernels.rref_mod(a, q)
+        )
+    for name in ("add", "image"):
+        op = getattr(AffineSubspace, name)
+        monkeypatch.setattr(
+            AffineSubspace, name, lambda *a, _op=op, _name=name: calls.append(_name) or _op(*a)
+        )
     state = init_messages(y, w, code)
     for _ in range(3):
         want = reference_iterate(state, code)
-        adds.clear()
+        calls.clear()
         state = iterate(state, code)
-        assert len(adds) == sum(max(0, 3 * d - 6) for d in degrees)
+        # one elimination per directed edge: its anchor's meet
+        assert calls == ["rref_mod"] * code.graph.n_e
         assert state.t == want.t
         assert state.messages == want.messages
         if decide(state, code)[1].all():

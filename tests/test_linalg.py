@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import chi2
 
 from snclab import kernels, linalg
+from snclab.kernels import matmul_mod
 from snclab.linalg import (
     AffineSubspace,
     FieldSpec,
@@ -523,6 +524,95 @@ def test_affine_intersection_matches_reference_at_decoder_shape(q):
     assert outcomes == {"disjoint", "point", "coset"}
 
 
+# spanning sets that meet() takes as they are: (m, q, rng) -> rows
+MEET_ROWS = {
+    "none": lambda m, q, rng: np.zeros((0, m), dtype=np.int64),
+    "generic": lambda m, q, rng: rng.integers(0, q, size=(int(rng.integers(1, m)), m), dtype=np.int64),
+    "duplicate rows": lambda m, q, rng: np.tile(
+        rng.integers(0, q, size=(int(rng.integers(1, m)), m), dtype=np.int64), (2, 1)
+    ),
+    "zero rows": lambda m, q, rng: np.vstack(
+        [np.zeros((1, m), dtype=np.int64), rng.integers(0, q, size=(1, m), dtype=np.int64),
+         np.zeros((2, m), dtype=np.int64)]
+    ),
+    "more rows than m": lambda m, q, rng: random_rank_matrix(m + 3, m, int(rng.integers(1, m + 1)), q, rng),
+    "spanning": lambda m, q, rng: np.vstack(
+        [random_invertible(m, q, rng), rng.integers(0, q, size=(2, m), dtype=np.int64)]
+    ),
+}
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("kind", sorted(MEET_ROWS))
+def test_meet_matches_intersect_and_coset_enumeration(kind, q):
+    rng = np.random.default_rng([q, sorted(MEET_ROWS).index(kind)])
+    m = 4 if q == 2 else 3
+    outcomes = set()
+    for _ in range(40):
+        a = AffineSubspace.from_offset(
+            rng.integers(0, q, size=m, dtype=np.int64),
+            row_space(random_rank_matrix(m, m, int(rng.integers(0, m)), q, rng), q),
+        )
+        rows = MEET_ROWS[kind](m, q, rng)
+        direction = Subspace.from_rows(rows, q, ambient=m)
+        b = rng.integers(0, q, size=m, dtype=np.int64)
+        # the same coset from another member, and a coset disjoint from a
+        # whenever U + V is not the whole space
+        shifted = (b + rng.integers(0, q, size=rows.shape[0]) @ rows) % q
+        offsets = [b, shifted]
+        total = a.direction.add(direction)
+        if total.dim < m:
+            while total.contains((b - a.offset) % q):
+                b = rng.integers(0, q, size=m, dtype=np.int64)
+            offsets.append(b)
+        for offset in offsets:
+            coset = AffineSubspace.from_offset(offset, direction)
+            got = a.meet(offset, rows)
+            assert got == a.intersect(coset)
+            assert got == _check_intersection(a, coset)
+            outcomes.add("disjoint" if got is None else "met")
+        if len(offsets) == 3:
+            assert got is None
+    assert outcomes == ({"met"} if kind == "spanning" else {"met", "disjoint"})
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_meet_matches_reference_at_decoder_shape(q):
+    # the decoder's meets at N = 72: an anchor y + W with dim W = 12 in
+    # F_q^36 against a check output given by up to 5 raw blocks of up to 12
+    # rows each, so up to 60 rows, spanning up to the whole space
+    rng = np.random.default_rng(72 + q)
+    m, s = 36, 12
+    outcomes = set()
+    for case in range(24):
+        blocks = case % 6
+        rows = np.vstack(
+            [np.zeros((0, m), dtype=np.int64)]
+            + [
+                matmul_mod(random_rank_matrix(s, m, int(rng.integers(s // 2, s + 1)), q, rng),
+                           random_invertible(m, q, rng), q)
+                for _ in range(blocks)
+            ]
+        )
+        a = AffineSubspace.from_offset(
+            rng.integers(0, q, size=m, dtype=np.int64),
+            row_space(random_rank_matrix(s, m, s, q, rng), q),
+        )
+        b = rng.integers(0, q, size=m, dtype=np.int64)
+        if case % 4 == 1:
+            b = (a.offset + rng.integers(0, q, size=s) @ a.direction.basis) % q
+        got = a.meet(b, rows)
+        want = _reference_intersection(a, AffineSubspace.from_offset(b, Subspace.from_rows(rows, q, m)))
+        if want is None:
+            assert got is None
+            outcomes.add("disjoint")
+        else:
+            assert np.array_equal(got.offset, want[0])
+            assert np.array_equal(got.direction.basis, want[1])
+            outcomes.add("point" if got.is_point() else "coset")
+    assert outcomes == {"disjoint", "point", "coset"}
+
+
 def test_one_elimination_per_subspace_operation(monkeypatch):
     calls = []
 
@@ -537,8 +627,10 @@ def test_one_elimination_per_subspace_operation(monkeypatch):
     v = row_space(random_rank_matrix(4, m, 4, q, rng), q)
     a = AffineSubspace.from_offset(rng.integers(0, q, size=m, dtype=np.int64), u)
     b = AffineSubspace.from_offset(rng.integers(0, q, size=m, dtype=np.int64), v)
+    rows = np.vstack([v.basis, v.basis, np.zeros((1, m), dtype=np.int64)])
     ops = [
         (lambda: a.intersect(b), 1),
+        (lambda: a.meet(b.offset, rows), 1),
         (lambda: u.intersect(v), 1),
         (lambda: u.reduce(rng.integers(0, q, size=m)), 0),
         # one elimination of [a | b]; the nullspace basis read off it is not
