@@ -74,7 +74,7 @@ def generic_table(rng, quick: bool):
     cases = [
         ("rref 24x72 q2 (decoder-size)", binary(rng, 24, 72), 2),
         ("rref 72x36 q2 (population DE)", binary(rng, 72, 36), 2),
-        ("rref 73x49 q3 (decoder meet)", rng.integers(0, 3, (73, 49), dtype=np.int64), 3),
+        ("rref 73x49 q3 (decoder preimage)", rng.integers(0, 3, (73, 49), dtype=np.int64), 3),
         ("rref 120x240 q3", rng.integers(0, 3, (120, 240), dtype=np.int64), 3),
     ]
     if quick:

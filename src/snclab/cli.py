@@ -288,12 +288,12 @@ def _run_trial(trial: int, args, params, shared_code) -> dict:
 
 
 def _clopper_pearson(k: int, n: int, conf: float = 0.99):
-    # scipy.stats is most of the CLI's import time and only simulate needs it
-    from scipy.stats import beta as beta_dist
+    # not scipy.stats, whose import would double simulate's start-up time and memory
+    from scipy.special import betaincinv
 
     alpha = 1 - conf
-    lo = 0.0 if k == 0 else float(beta_dist.ppf(alpha / 2, k, n - k + 1))
-    hi = 1.0 if k == n else float(beta_dist.ppf(1 - alpha / 2, k + 1, n - k))
+    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2))
+    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1 - alpha / 2))
     return lo, hi
 
 

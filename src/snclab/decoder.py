@@ -6,14 +6,18 @@ abar the other check of variable i, a full flooding round applies
     W_{i->a}^{t+1} = (y_i + W)  ∩  [ sum_{j in d(abar), j != i} W_{j->abar} h_{j,abar} ] h_{i,abar}^{-1}
 
 simultaneously on all directed edges; a row is decided once its two messages
-intersect in a single point.  Sums and images need no canonical form, so the
-decoder makes one elimination per directed edge per round: its anchor's meet.
+intersect in a single point.  Every message lies in its anchor y_i + W, so the
+decoder works in coordinates over W's RREF basis U: x_i = a_i + c_i U with a_i
+the residue of y_i modulo W.  Check a's equation sum_i x_i h_i = 0 becomes
+sum_i c_i G_i = b_a with G_i = U h_i and b_a = -sum_i a_i h_i, and a round is
+one ``preimage`` per directed edge: no label inverse and no anchor meet.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -21,7 +25,7 @@ import numpy as np
 from .channel import SncParams
 from .ensemble import LiftedCode, constrained_rows
 from .kernels import DTYPE, matmul_mod
-from .linalg import AffineSubspace, Subspace, as_matrix, row_space
+from .linalg import AffineSubspace, Subspace, as_matrix, preimage, row_space
 
 
 class EmptyIntersectionFault(RuntimeError):
@@ -40,11 +44,22 @@ class DecoderConfig:
 
 @dataclass(frozen=True)
 class MessageState:
-    """Per-directed-edge messages plus the per-variable anchors y_i + W."""
+    """Per-directed-edge messages in coordinates over the recovered noise
+    space W: edge e = (i -> a) carries {offsets[e] + c U : c in coords[e]},
+    with U W's RREF basis and offsets[e] = a_i.  ``gains[e]`` = U h_e and
+    ``targets[a]`` = b_a state the check equations in those coordinates."""
 
-    messages: tuple
-    anchors: tuple
+    coords: tuple
+    offsets: np.ndarray
+    w: Subspace
+    gains: tuple
+    targets: np.ndarray
     t: int
+
+    @cached_property
+    def messages(self) -> tuple:
+        """The messages as canonical cosets of F_q^m."""
+        return tuple(AffineSubspace.from_coords(a, c, self.w) for a, c in zip(self.offsets, self.coords))
 
 
 @dataclass(frozen=True)
@@ -94,47 +109,42 @@ def span_failure_probability(s: int, n_rows: int, q: int) -> Fraction:
 
 
 def init_messages(y: np.ndarray, w: Subspace, code: LiftedCode) -> MessageState:
-    """t = 0: every directed edge (i -> a) carries y_i + W."""
-    anchors = tuple(
-        AffineSubspace.from_offset(y[v], w) for v in range(code.n_v)
-    )
-    messages = tuple(anchors[v] for v, _, _ in code.graph.edges)
-    return MessageState(messages=messages, anchors=anchors, t=0)
+    """t = 0: every directed edge (i -> a) carries y_i + W, all of F_q^s in
+    coordinates."""
+    q, graph = code.params.q, code.graph
+    offsets = np.array([w.reduce(y[v]) for v, _, _ in graph.edges], dtype=DTYPE)
+    imaged = [matmul_mod(np.vstack([a, w.basis]), h, q) for a, h in zip(offsets, code.labels)]
+    targets = np.zeros((graph.n_c, code.params.m), dtype=DTYPE)
+    for (_, c, _), im in zip(graph.edges, imaged):
+        targets[c] -= im[0]
+    everything = AffineSubspace(np.zeros(w.dim, dtype=DTYPE), Subspace.full(w.dim, q))
+    gains = tuple(im[1:] for im in imaged)
+    return MessageState((everything,) * graph.n_e, offsets, w, gains, targets % q, t=0)
 
 
 def iterate(state: MessageState, code: LiftedCode) -> MessageState:
     """One flooding round; every edge updates from iteration-t values.
 
-    Images stay raw: row 0 the offset times the label, the rest the direction
-    basis times it.  The check equation gives x_i = -(sum_{j != i} x_j h_j)
-    h_i^{-1}, so edge i's check output is the point (x_i h_i - sum_j x_j h_j)
-    h_i^{-1} (the negation is a no-op at q = 2) and the other edges' rows
-    times h_i^{-1}."""
+    Images p_j G_j, C_j G_j stay raw; edge i's check output is the preimage
+    {c : c G_i in (b_a - sum_{j != i} p_j G_j) + span(C_j G_j, j != i)}, and
+    it lies in the anchor, so it becomes the message on i's other edge."""
     q, graph = code.params.q, code.graph
-    inverses = code.label_inverses()
     imaged = [
-        matmul_mod(np.vstack([msg.offset, msg.direction.basis]), h, q)
-        for msg, h in zip(state.messages, code.labels)
+        matmul_mod(np.vstack([c.offset, c.direction.basis]), g, q)
+        for c, g in zip(state.coords, state.gains)
     ]
     check_out = [None] * graph.n_e
-    for edges_of_c in graph.check_edges():
-        total = sum(imaged[e][0] for e in edges_of_c)
-        for e in edges_of_c:
-            others = [imaged[j][1:] for j in edges_of_c if j != e]
-            check_out[e] = matmul_mod(np.vstack([imaged[e][0] - total, *others]), inverses[e], q)
-
-    new_messages = [None] * graph.n_e
-    for v, (e1, e2) in enumerate(graph.var_edges()):
-        anchor = state.anchors[v]
-        m1 = anchor.meet(check_out[e2][0], check_out[e2][1:])
-        m2 = anchor.meet(check_out[e1][0], check_out[e1][1:])
-        if m1 is None or m2 is None:
-            raise EmptyIntersectionFault(
-                f"empty affine intersection at variable {v}, iteration {state.t + 1}"
-            )
-        new_messages[e1] = m1
-        new_messages[e2] = m2
-    return MessageState(messages=tuple(new_messages), anchors=state.anchors, t=state.t + 1)
+    for a, edges_of_a in enumerate(graph.check_edges()):
+        rest = state.targets[a] - sum(imaged[e][0] for e in edges_of_a)
+        for e in edges_of_a:
+            stacked = np.vstack([rest + imaged[e][0], *(imaged[j][1:] for j in edges_of_a if j != e)])
+            check_out[e] = preimage(state.gains[e], stacked[0], stacked[1:], q)
+            if check_out[e] is None:
+                raise EmptyIntersectionFault(f"empty check output on edge {e}, iteration {state.t + 1}")
+    new_coords = [None] * graph.n_e
+    for e1, e2 in graph.var_edges():
+        new_coords[e1], new_coords[e2] = check_out[e2], check_out[e1]
+    return replace(state, coords=tuple(new_coords), t=state.t + 1)
 
 
 def decide(state: MessageState, code: LiftedCode) -> Tuple[np.ndarray, np.ndarray]:
@@ -142,24 +152,24 @@ def decide(state: MessageState, code: LiftedCode) -> Tuple[np.ndarray, np.ndarra
 
     Returns (x_hat, determined); zero-padded rows are always determined as 0.
     """
-    q, m, l = code.params.q, code.params.m, code.params.l
+    m, l = code.params.m, code.params.l
     x_hat = np.zeros((l, m), dtype=DTYPE)
     determined = np.zeros(l, dtype=bool)
     determined[code.n_v :] = True
     for v, (e1, e2) in enumerate(code.graph.var_edges()):
-        inter = state.messages[e1].intersect(state.messages[e2])
+        inter = state.coords[e1].intersect(state.coords[e2])
         if inter is None:
             raise EmptyIntersectionFault(
                 f"empty decision intersection at variable {v}, iteration {state.t}"
             )
         if inter.dim == 0:
             determined[v] = True
-            x_hat[v] = inter.offset
+            x_hat[v] = AffineSubspace.from_coords(state.offsets[e1], inter, state.w).offset
     return x_hat, determined
 
 
 def _round_stats(state: MessageState, determined: np.ndarray, code: LiftedCode) -> dict:
-    dims = [msg.dim for msg in state.messages]
+    dims = [c.dim for c in state.coords]
     return {
         "t": state.t,
         "mean_dim": float(np.mean(dims)) if dims else 0.0,

@@ -227,7 +227,6 @@ class LiftedCode:
     graph: TannerGraph
     labels: tuple
     omega_prime: Fraction
-    _inverses: Optional[tuple] = field(default=None, repr=False)
     _system_rref: Optional[tuple] = field(default=None, repr=False)
 
     @property
@@ -244,19 +243,6 @@ class LiftedCode:
         equations, per symbol of the l x N channel input."""
         p = self.params
         return Fraction(p.m * (self.graph.n_v - self.graph.n_c), p.N * p.l)
-
-    def label_inverses(self) -> tuple:
-        if self._inverses is None:
-            q, m = self.params.q, self.params.m
-            invs = []
-            for h in self.labels:
-                aug = np.hstack([h, np.eye(m, dtype=DTYPE)])
-                r, rk, _ = rref_mod(aug, q)
-                if rk != m:
-                    raise ValueError("edge label is singular")
-                invs.append(np.ascontiguousarray(r[:, m:]))
-            self._inverses = tuple(invs)
-        return self._inverses
 
     def constraint_matrix(self) -> np.ndarray:
         """Lifted system over the n_v*m unknowns of the constrained rows.

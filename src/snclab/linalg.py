@@ -290,18 +290,10 @@ class Subspace:
         return Subspace.from_rows(stacked, self.q, self.ambient)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus in U's coordinates: row reduce [[U I], [V 0]]; the rows
-        with zero left block end in the RREF coordinates C of U & V, and C*U
-        is RREF since U is."""
+        """C*U for C the RREF coordinates of U & V over U's RREF basis U."""
         _check_same_space(self, other)
-        m, du = self.ambient, self.dim
-        block = np.zeros((du + other.dim, m + du), dtype=DTYPE)
-        block[:du, :m] = self.basis
-        block[:du, m:] = np.eye(du, dtype=DTYPE)
-        block[du:, :m] = other.basis
-        r, rk, piv = rref_mod(block, self.q)
-        k = int(np.searchsorted(piv, m))
-        return Subspace(matmul_mod(r[k:rk, m:], self.basis, self.q), self.q, m)
+        coords = preimage(self.basis, np.zeros(self.ambient, dtype=DTYPE), other.basis, self.q)
+        return Subspace(matmul_mod(coords.direction.basis, self.basis, self.q), self.q, self.ambient)
 
     def transformed(self, h: np.ndarray) -> "Subspace":
         """Right action basis -> basis*h, re-canonicalized."""
@@ -393,6 +385,15 @@ class AffineSubspace:
         v = np.asarray(v, dtype=DTYPE) % q
         return cls(v, Subspace.zero(v.shape[0], q))
 
+    @classmethod
+    def from_coords(cls, offset: np.ndarray, coords: "AffineSubspace", w: Subspace) -> "AffineSubspace":
+        """{offset + c*U : c in coords} for U w's RREF basis and offset reduced
+        against w; canonical as it stands, since C*U is RREF when C and U are,
+        and offset + c*U is zero at its pivots, offset at U's and c at C's."""
+        q, u = w.q, w.basis
+        point = (offset + coords.offset @ u) % q
+        return cls(point, Subspace(matmul_mod(coords.direction.basis, u, q), q, w.ambient))
+
     @property
     def q(self) -> int:
         return self.direction.q
@@ -433,37 +434,12 @@ class AffineSubspace:
         return AffineSubspace((-self.offset) % self.q, self.direction)
 
     def intersect(self, other: "AffineSubspace") -> Optional["AffineSubspace"]:
-        """Set intersection; None when the cosets are disjoint."""
+        """Set intersection a + {c*U : c*U in (b - a) + V}; None when the
+        cosets are disjoint."""
         _check_same_space(self.direction, other.direction)
-        return self.meet(other.offset, other.direction.basis)
-
-    def meet(self, offset: np.ndarray, rows: np.ndarray) -> Optional["AffineSubspace"]:
-        """Intersection with b + span(rows), for any member b and any
-        spanning set (zero, repeated or no rows); None when disjoint.
-
-        Row reduce [[U 0 I], [V 0 0], [a-b 1 0]] (left m | flag | right du
-        columns).  A row (0, t, c) puts a + c*U in both cosets for t = 1 and
-        c*U in U & V for t = 0, so the cosets meet iff the flag column is a
-        pivot.  C*U is RREF since U is, and a + c*U is canonical since a is
-        zero at U's pivots and c at C's.
-        """
-        q, m = self.q, self.ambient
-        u = self.direction.basis
-        rows = np.asarray(rows, dtype=DTYPE).reshape(-1, m)
-        du, dv = u.shape[0], rows.shape[0]
-        block = np.zeros((du + dv + 1, m + 1 + du), dtype=DTYPE)
-        block[:du, :m] = u
-        block[:du, m + 1 :] = np.eye(du, dtype=DTYPE)
-        block[du : du + dv, :m] = rows % q
-        block[-1, :m] = (self.offset - np.asarray(offset, dtype=DTYPE)) % q
-        block[-1, m] = 1
-        r, rk, piv = rref_mod(block, q)
-        k = int(np.searchsorted(piv, m))
-        if k == rk or piv[k] != m:
-            return None
-        coords = r[k:rk, m + 1 :]
-        point = (self.offset + coords[0] @ u) % q
-        return AffineSubspace(point, Subspace(matmul_mod(coords[1:], u, q), q, m))
+        u, v = self.direction, other.direction
+        coords = preimage(u.basis, (other.offset - self.offset) % self.q, v.basis, self.q)
+        return None if coords is None else AffineSubspace.from_coords(self.offset, coords, u)
 
     def enumerate_vectors(self) -> Iterator[np.ndarray]:
         for v in self.direction.enumerate_vectors():
@@ -481,6 +457,32 @@ class AffineSubspace:
 
     def __repr__(self) -> str:
         return f"AffineSubspace(dim={self.dim}, ambient={self.ambient}, q={self.q})"
+
+
+def preimage(g: np.ndarray, p: np.ndarray, rows: np.ndarray, q: int) -> Optional[AffineSubspace]:
+    """{c in F_q^k : c*g in p + span(rows)} for a k x m matrix g, any point p
+    and any spanning set rows (zero, repeated, more than m or no rows, as a
+    2-D array with entries in [0, q)); None when it is empty.
+
+    One Zassenhaus elimination: row reduce [[g 0 I], [rows 0 0], [-p 1 0]]
+    (left m | flag | right k columns).  Its rows with zero left block span
+    the (t, c) with c*g in t*p + span(rows), so the set is nonempty iff the
+    flag column is a pivot; the flag row then holds a member c and the rows
+    below the RREF basis C of the direction, and c is zero at C's pivots.
+    """
+    k, m = g.shape
+    block = np.zeros((k + rows.shape[0] + 1, m + 1 + k), dtype=DTYPE)
+    block[:k, :m] = g
+    block[:k, m + 1 :] = np.eye(k, dtype=DTYPE)
+    block[k:-1, :m] = rows
+    block[-1, :m] = -p % q
+    block[-1, m] = 1
+    r, rk, piv = rref_mod(block, q)
+    j = int(np.searchsorted(piv, m))
+    if j == rk or piv[j] != m:
+        return None
+    coords = r[j:rk, m + 1 :]
+    return AffineSubspace(coords[0], Subspace(coords[1:], q, k))
 
 
 def affine_image(a: AffineSubspace, h: np.ndarray) -> AffineSubspace:

@@ -24,16 +24,42 @@ def run_cli(argv, capsys):
     return code, out.out, out.err
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # only simulate's confidence interval uses scipy.stats, so the commands
-    # that do not call it must not pay for its import
+def _scipy_stats_loaded_after(code):
+    """Run ``code`` in a fresh interpreter; was scipy.stats imported?"""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, snclab.cli; print('scipy.stats' in sys.modules)"
+    code += "; import sys; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()[-1] == "True"
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the CLI's import time, and no command needs it
+    assert not _scipy_stats_loaded_after("import snclab.cli")
+
+
+def test_simulate_leaves_scipy_stats_unloaded(tmp_path):
+    # simulate's confidence interval takes its beta quantiles from scipy.special
+    argv = ["simulate", "--q", "2", "--N", "24", "--lambda", "1/2", "--omega", "1/3", "--k", "3",
+            "--b", "6", "--trials", "3", "--iters", "5", "--out", str(tmp_path / "run")]
+    assert not _scipy_stats_loaded_after(f"import snclab.cli; assert snclab.cli.main({argv!r}) == 0")
+    assert (tmp_path / "run.summary.csv").exists()
+
+
+def test_clopper_pearson_matches_beta_quantiles():
+    # bit for bit the interval scipy.stats.beta.ppf gives, for every k <= n <= 200
+    from scipy.stats import beta
+
+    pairs = np.array([(k, n) for n in range(1, 201) for k in range(n + 1)])
+    k, n = pairs[:, 0], pairs[:, 1]
+    alpha = 1 - 0.99
+    with np.errstate(invalid="ignore"):
+        lo = np.where(k == 0, 0.0, beta.ppf(alpha / 2, k, n - k + 1))
+        hi = np.where(k == n, 1.0, beta.ppf(1 - alpha / 2, k + 1, n - k))
+    for (ki, ni), want in zip(pairs.tolist(), zip(lo.tolist(), hi.tolist())):
+        assert cli._clopper_pearson(ki, ni) == want
 
 
 def test_parse_rational():

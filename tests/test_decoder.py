@@ -10,7 +10,6 @@ from snclab.channel import transmit, validate_params
 from snclab.decoder import (
     DecoderConfig,
     EmptyIntersectionFault,
-    MessageState,
     decide,
     decode,
     init_messages,
@@ -107,7 +106,6 @@ def tiny_code(labels_identity=True):
     if labels_identity:
         eye = np.eye(p.m, dtype=np.int64)
         code.labels = tuple(eye.copy() for _ in code.labels)
-        code._inverses = None
     return p, code
 
 
@@ -184,7 +182,6 @@ def test_label_rotation_pins_rows_in_one_round():
     perm = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=np.int64)
     eye = np.eye(3, dtype=np.int64)
     code.labels = (eye.copy(), eye.copy(), perm, eye.copy())
-    code._inverses = None
     w = Subspace.from_rows([[1, 0, 0]], p.q)
     y = np.array([[1, 0, 0], [0, 0, 0], [1, 0, 0]], dtype=np.int64)  # x = 0
     state = init_messages(y, w, code)
@@ -224,12 +221,20 @@ def test_degree_one_check_pins_immediately():
 # ---------------------------------------------------------------------------
 
 
-def reference_iterate(state, code):
-    """One flooding round with every leave-one-out sum built as
-    prefix[pos] + suffix[pos + 1] from the zero point up: 3d adds per check."""
+def invert(h, q):
+    m = h.shape[0]
+    r, rk, _ = kernels.rref_mod(np.hstack([h, np.eye(m, dtype=np.int64)]), q)
+    assert rk == m
+    return r[:, m:]
+
+
+def reference_iterate(state, code, y, w):
+    """One flooding round in F_q^m, as the decoder's docstring states it:
+    every leave-one-out sum built as prefix[pos] + suffix[pos + 1] from the
+    zero point up (3d adds per check), negated, mapped back through the
+    inverse label and met with the anchor y_i + W.  Returns the messages."""
     q, m = code.params.q, code.params.m
     graph = code.graph
-    inverses = code.label_inverses()
     zero_point = AffineSubspace.point(np.zeros(m, dtype=np.int64), q)
     imaged = [state.messages[e].image(code.labels[e]) for e in range(graph.n_e)]
     check_out = [None] * graph.n_e
@@ -242,13 +247,13 @@ def reference_iterate(state, code):
             suffix.append(suffix[-1].add(imaged[e]))
         suffix.reverse()
         for pos, e in enumerate(edges_of_c):
-            check_out[e] = prefix[pos].add(suffix[pos + 1]).negate().image(inverses[e])
+            check_out[e] = prefix[pos].add(suffix[pos + 1]).negate().image(invert(code.labels[e], q))
     new_messages = [None] * graph.n_e
     for v, (e1, e2) in enumerate(graph.var_edges()):
-        anchor = state.anchors[v]
+        anchor = AffineSubspace.from_offset(y[v], w)
         new_messages[e1] = anchor.intersect(check_out[e2])
         new_messages[e2] = anchor.intersect(check_out[e1])
-    return MessageState(messages=tuple(new_messages), anchors=state.anchors, t=state.t + 1)
+    return tuple(new_messages)
 
 
 def recovered_trial(q, N, k, b):
@@ -275,11 +280,11 @@ def test_check_node_matches_prefix_suffix_loop(case, monkeypatch):
     degrees = [len(edges) for edges in code.graph.check_edges()]
     if case == "q2 rho*(2,5) N24":
         assert 2 in degrees
-    code.label_inverses()  # fill the cache before counting
+    m = code.params.m
     calls = []
     for module in (linalg, ensemble):
         monkeypatch.setattr(
-            module, "rref_mod", lambda a, q: calls.append("rref_mod") or kernels.rref_mod(a, q)
+            module, "rref_mod", lambda a, q: calls.append(np.shape(a)) or kernels.rref_mod(a, q)
         )
     for name in ("add", "image"):
         op = getattr(AffineSubspace, name)
@@ -287,14 +292,16 @@ def test_check_node_matches_prefix_suffix_loop(case, monkeypatch):
             AffineSubspace, name, lambda *a, _op=op, _name=name: calls.append(_name) or _op(*a)
         )
     state = init_messages(y, w, code)
-    for _ in range(3):
-        want = reference_iterate(state, code)
+    for t in range(1, 4):
+        want = reference_iterate(state, code, y, w)
         calls.clear()
         state = iterate(state, code)
-        # one elimination per directed edge: its anchor's meet
-        assert calls == ["rref_mod"] * code.graph.n_e
-        assert state.t == want.t
-        assert state.messages == want.messages
+        # one elimination per directed edge, its check output's preimage, and
+        # no m x 2m label inversion
+        assert len(calls) == code.graph.n_e
+        assert all(isinstance(c, tuple) and c != (m, 2 * m) for c in calls)
+        assert state.t == t
+        assert state.messages == want
         if decide(state, code)[1].all():
             break
 

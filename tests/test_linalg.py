@@ -18,6 +18,7 @@ from snclab.linalg import (
     dump_matrix_text,
     gaussian_binomial,
     load_matrix_text,
+    preimage,
     random_full_rank,
     random_full_rank_stack,
     random_invertible,
@@ -524,7 +525,7 @@ def test_affine_intersection_matches_reference_at_decoder_shape(q):
     assert outcomes == {"disjoint", "point", "coset"}
 
 
-# spanning sets that meet() takes as they are: (m, q, rng) -> rows
+# spanning sets that preimage() takes as they are: (m, q, rng) -> rows
 MEET_ROWS = {
     "none": lambda m, q, rng: np.zeros((0, m), dtype=np.int64),
     "generic": lambda m, q, rng: rng.integers(0, q, size=(int(rng.integers(1, m)), m), dtype=np.int64),
@@ -542,45 +543,62 @@ MEET_ROWS = {
 }
 
 
+def _injective_non_rref(k, m, q, rng):
+    """U*h for a full-rank k x m U and an invertible h: injective, and not
+    RREF in general, like the decoder's U*h_e."""
+    return matmul_mod(random_rank_matrix(k, m, k, q, rng), random_invertible(m, q, rng), q)
+
+
 @pytest.mark.parametrize("q", [2, 3, 5])
 @pytest.mark.parametrize("kind", sorted(MEET_ROWS))
 def test_meet_matches_intersect_and_coset_enumeration(kind, q):
+    # preimage(g, p, rows) against enumeration of all c in F_q^k, with k = 0
+    # among the coordinate dimensions drawn
     rng = np.random.default_rng([q, sorted(MEET_ROWS).index(kind)])
     m = 4 if q == 2 else 3
-    outcomes = set()
+    outcomes, ks = set(), set()
     for _ in range(40):
-        a = AffineSubspace.from_offset(
-            rng.integers(0, q, size=m, dtype=np.int64),
-            row_space(random_rank_matrix(m, m, int(rng.integers(0, m)), q, rng), q),
-        )
+        k = int(rng.integers(0, m + 1))
+        ks.add(k)
+        g = _injective_non_rref(k, m, q, rng)
         rows = MEET_ROWS[kind](m, q, rng)
-        direction = Subspace.from_rows(rows, q, ambient=m)
-        b = rng.integers(0, q, size=m, dtype=np.int64)
-        # the same coset from another member, and a coset disjoint from a
-        # whenever U + V is not the whole space
-        shifted = (b + rng.integers(0, q, size=rows.shape[0]) @ rows) % q
-        offsets = [b, shifted]
-        total = a.direction.add(direction)
+        span = Subspace.from_rows(rows, q, ambient=m)
+        p = rng.integers(0, q, size=m, dtype=np.int64)
+        # the same coset from another member, and a point off image(g) + span
+        # whenever that sum is not the whole space
+        shifted = (p + rng.integers(0, q, size=rows.shape[0]) @ rows) % q
+        points = [p, shifted]
+        total = span.add(Subspace.from_rows(g, q, ambient=m))
         if total.dim < m:
-            while total.contains((b - a.offset) % q):
-                b = rng.integers(0, q, size=m, dtype=np.int64)
-            offsets.append(b)
-        for offset in offsets:
-            coset = AffineSubspace.from_offset(offset, direction)
-            got = a.meet(offset, rows)
-            assert got == a.intersect(coset)
-            assert got == _check_intersection(a, coset)
-            outcomes.add("disjoint" if got is None else "met")
-        if len(offsets) == 3:
-            assert got is None
+            while total.contains(p):
+                p = rng.integers(0, q, size=m, dtype=np.int64)
+            points.append(p)
+        got = [preimage(g, point, rows, q) for point in points]
+        for point, res in zip(points, got):
+            want = {tuple(c) for c in Subspace.full(k, q).enumerate_vectors()
+                    if span.contains((c @ g - point) % q)}
+            if res is None:
+                assert want == set()
+                outcomes.add("disjoint")
+                continue
+            assert _coset(res) == want
+            if k:
+                canonical = Subspace.from_rows(res.direction.basis, q, k)
+                assert res == AffineSubspace.from_offset(res.offset, canonical)
+            outcomes.add("met")
+        assert got[0] == got[1]
+        if len(points) == 3:
+            assert got[2] is None
+    assert 0 in ks
     assert outcomes == ({"met"} if kind == "spanning" else {"met", "disjoint"})
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_meet_matches_reference_at_decoder_shape(q):
-    # the decoder's meets at N = 72: an anchor y + W with dim W = 12 in
-    # F_q^36 against a check output given by up to 5 raw blocks of up to 12
-    # rows each, so up to 60 rows, spanning up to the whole space
+    # the decoder's preimages at N = 72: g = U*h with dim W = 12 in F_q^36
+    # against a check output given by up to 5 raw blocks of up to 12 rows
+    # each, so up to 60 rows, spanning up to the whole space; mapped through
+    # g, the preimage is the meet of g's row space with the check output
     rng = np.random.default_rng(72 + q)
     m, s = 36, 12
     outcomes = set()
@@ -594,21 +612,24 @@ def test_meet_matches_reference_at_decoder_shape(q):
                 for _ in range(blocks)
             ]
         )
-        a = AffineSubspace.from_offset(
-            rng.integers(0, q, size=m, dtype=np.int64),
-            row_space(random_rank_matrix(s, m, s, q, rng), q),
-        )
-        b = rng.integers(0, q, size=m, dtype=np.int64)
+        g = _injective_non_rref(s, m, q, rng)
+        p = rng.integers(0, q, size=m, dtype=np.int64)
         if case % 4 == 1:
-            b = (a.offset + rng.integers(0, q, size=s) @ a.direction.basis) % q
-        got = a.meet(b, rows)
-        want = _reference_intersection(a, AffineSubspace.from_offset(b, Subspace.from_rows(rows, q, m)))
+            p = rng.integers(0, q, size=s) @ g % q
+        got = preimage(g, p, rows, q)
+        want = _reference_intersection(
+            AffineSubspace.from_offset(np.zeros(m, dtype=np.int64), row_space(g, q)),
+            AffineSubspace.from_offset(p, Subspace.from_rows(rows, q, m)),
+        )
         if want is None:
             assert got is None
             outcomes.add("disjoint")
         else:
-            assert np.array_equal(got.offset, want[0])
-            assert np.array_equal(got.direction.basis, want[1])
+            image = AffineSubspace.from_offset(
+                got.offset @ g % q, Subspace.from_rows(matmul_mod(got.direction.basis, g, q), q, m)
+            )
+            assert np.array_equal(image.offset, want[0])
+            assert np.array_equal(image.direction.basis, want[1])
             outcomes.add("point" if got.is_point() else "coset")
     assert outcomes == {"disjoint", "point", "coset"}
 
@@ -630,7 +651,7 @@ def test_one_elimination_per_subspace_operation(monkeypatch):
     rows = np.vstack([v.basis, v.basis, np.zeros((1, m), dtype=np.int64)])
     ops = [
         (lambda: a.intersect(b), 1),
-        (lambda: a.meet(b.offset, rows), 1),
+        (lambda: preimage(matmul_mod(u.basis, random_invertible(m, q, rng), q), b.offset, rows, q), 1),
         (lambda: u.intersect(v), 1),
         (lambda: u.reduce(rng.integers(0, q, size=m)), 0),
         # one elimination of [a | b]; the nullspace basis read off it is not
