@@ -2,7 +2,7 @@
 elimination loop, and the bit-packed GF(2) path against the generic kernel
 it replaces at q = 2.
 
-Eight tables and one end-to-end figure:
+Nine tables and one end-to-end figure:
 
 - generic kernels: ``_rref_numpy`` and ``matmul_mod`` on the shapes the
   package uses;
@@ -12,11 +12,15 @@ Eight tables and one end-to-end figure:
 - decode: ms per flooding round (one ``decoder.iterate`` call) at N=72,
   q = 2 and 3, over the rounds of recovered trials until every row is
   decided;
+- decoder round: the ``preimage_batch`` calls of one recovered N=72 decode
+  (one per round over its edges, one per decision over its variables),
+  recorded and timed as a ``preimage`` loop and as the batched call;
 - packed vs generic: ``rref_mod`` and ``rank_mod`` at q = 2 on the
   decoder-size, population-DE and a dense 468x864 shape;
-- decoder call mix: every ``rref_mod`` call of one recovered q = 2 N=72
-  decode, recorded and timed by the generic and the packed kernel per
-  shape, against which ``kernels.GF2_PACKED_MIN_CELLS`` is checked;
+- trial call mix: every ``rref_mod`` and ``rank_mod`` call of one
+  recovered q = 2 N=72 trial (code, encoder, transmit, decode), recorded and
+  timed by the generic and the packed kernel per shape, against which
+  ``kernels.GF2_PACKED_MIN_CELLS`` is checked;
 - batched rank: ``rank_mod_batch`` on 256 matrices against a ``rank_mod``
   loop, on the deviation grid's square shapes; at q = 2 also the generic
   column loop that the one-word packed path replaces;
@@ -38,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from snclab import ensemble, kernels, linalg
+from snclab import channel, decoder, ensemble, kernels, linalg
 from snclab.channel import transmit, validate_params
 from snclab.de import PopulationDeConfig, population_de_run
 from snclab.decoder import DecoderConfig, decide, decode, init_messages, iterate, recover_noise_space
@@ -74,7 +78,7 @@ def generic_table(rng, quick: bool):
     cases = [
         ("rref 24x72 q2 (decoder-size)", binary(rng, 24, 72), 2),
         ("rref 72x36 q2 (population DE)", binary(rng, 72, 36), 2),
-        ("rref 73x49 q3 (decoder preimage)", rng.integers(0, 3, (73, 49), dtype=np.int64), 3),
+        ("rref 73x49 q3 (one preimage block)", rng.integers(0, 3, (73, 49), dtype=np.int64), 3),
         ("rref 120x240 q3", rng.integers(0, 3, (120, 240), dtype=np.int64), 3),
     ]
     if quick:
@@ -144,48 +148,85 @@ def packed_table(rng, quick: bool):
               f"{t_rk * 1e3:10.3f}ms")
 
 
+def decoder_round_table():
+    """Each ``preimage_batch`` call of one recovered N=72 decode, by a
+    ``preimage`` loop and by the batched call (best of 3 passes over the
+    recorded calls), summed over the rounds' edges and the decisions."""
+    print(f"\n{'N=72 decoder round':20s} {'calls':>6s} {'items':>6s} {'loop':>10s} {'batched':>10s} "
+          f"{'speedup':>8s}")
+    for q in (2, 3):
+        code, y, _, _ = recovered_trial(validate_params(q, *N72))
+        calls = []
+        saved = decoder.preimage_batch
+        decoder.preimage_batch = lambda items, q: calls.append(items) or saved(items, q)
+        try:
+            decode(y, code, DecoderConfig(max_iters=20))
+        finally:
+            decoder.preimage_batch = saved
+        n_e = code.graph.n_e
+        for kind, group in (("edges", [c for c in calls if len(c) == n_e]),
+                            ("decisions", [c for c in calls if len(c) != n_e])):
+            t_loop = bench(lambda: [[linalg.preimage(*it, q) for it in c] for c in group], repeat=3, budget=0)
+            t_batch = bench(lambda: [linalg.preimage_batch(c, q) for c in group], repeat=3, budget=0)
+            print(f"{f'q={q} {kind}':20s} {len(group):6d} {sum(map(len, group)):6d} {t_loop * 1e3:8.2f}ms "
+                  f"{t_batch * 1e3:8.2f}ms {t_loop / t_batch:7.1f}x")
+
+
 def call_mix():
-    """Every ``rref_mod`` call of one recovered q = 2 N=72 decode, grouped by
-    shape and timed by both kernels (best of 3 passes over the recorded
-    matrices).  Prints the totals per cell range and the dispatch threshold
-    that would make the whole mix fastest."""
-    code, y, _, _ = recovered_trial(validate_params(2, *N72))
+    """Every ``rref_mod`` and ``rank_mod`` call of one recovered q = 2 N=72
+    trial (code, encoder, transmit, decode), grouped by kernel and shape and
+    timed by the generic and the packed kernel (best of 3 passes over the
+    recorded matrices).  Prints the totals per cell range and the dispatch
+    threshold that would make the whole mix fastest."""
+    params = validate_params(2, *N72)
+    seed = recovered_trial(params)[3]
     calls = {}
 
-    def recording(a, q):
-        calls.setdefault(np.shape(a), []).append(np.array(a))
-        return kernels.rref_mod(a, q)
+    def recording(name):
+        kernel = getattr(kernels, name)
 
-    saved = linalg.rref_mod, ensemble.rref_mod
-    linalg.rref_mod = ensemble.rref_mod = recording
+        def record(a, q):
+            calls.setdefault((name, np.shape(a)), []).append(np.array(a))
+            return kernel(a, q)
+
+        return record
+
+    patched = [(linalg, "rref_mod"), (ensemble, "rref_mod"), (linalg, "rank_mod"), (channel, "rank_mod")]
+    for module, name in patched:
+        setattr(module, name, recording(name))
     try:
+        code, y, _, _ = recovered_trial(params, seed)
         decode(y, code, DecoderConfig(max_iters=20))
     finally:
-        linalg.rref_mod, ensemble.rref_mod = saved
+        for module, name in patched:
+            setattr(module, name, getattr(kernels, name))
+
+    generic = {"rref_mod": lambda a: kernels._rref_numpy(a, 2), "rank_mod": lambda a: kernels._rref_numpy(a, 2)[1]}
+    packed = {"rref_mod": kernels._rref_gf2, "rank_mod": kernels._rank_gf2}
 
     def total(kernel, mats):
         return bench(lambda: [kernel(a) for a in mats], repeat=3, budget=0)
 
-    times = {
-        shape: (total(lambda a: kernels._rref_numpy(a, 2), mats), total(kernels._rref_gf2, mats))
-        for shape, mats in calls.items()
-    }
-    print(f"\n{'q=2 N=72 decode mix':20s} {'calls':>6s} {'generic':>10s} {'packed':>10s} {'ratio':>7s}")
+    def cells(key):
+        return key[1][0] * key[1][1]
+
+    times = {key: (total(generic[key[0]], mats), total(packed[key[0]], mats)) for key, mats in calls.items()}
+    print(f"\n{'q=2 N=72 trial mix':20s} {'calls':>6s} {'generic':>10s} {'packed':>10s} {'ratio':>7s}")
     edges = [0, 640, 1280, 2560, float("inf")]
     for lo, hi in zip(edges, edges[1:]):
-        group = [s for s in calls if lo <= s[0] * s[1] < hi]
+        group = [key for key in calls if lo <= cells(key) < hi]
         if not group:
             continue
-        t_gen = sum(times[s][0] for s in group)
-        t_pk = sum(times[s][1] for s in group)
+        t_gen = sum(times[key][0] for key in group)
+        t_pk = sum(times[key][1] for key in group)
         label = f"{lo}-{hi - 1} cells" if hi < edges[-1] else f">= {lo} cells"
-        print(f"{label:20s} {sum(len(calls[s]) for s in group):6d} {t_gen * 1e3:8.2f}ms "
+        print(f"{label:20s} {sum(len(calls[key]) for key in group):6d} {t_gen * 1e3:8.2f}ms "
               f"{t_pk * 1e3:8.2f}ms {t_gen / t_pk:6.2f}x")
 
     def dispatched(threshold):
-        return sum(times[s][s[0] * s[1] >= threshold] for s in calls)
+        return sum(times[key][cells(key) >= threshold] for key in calls)
 
-    candidates = sorted({s[0] * s[1] for s in calls} | {kernels.GF2_PACKED_MIN_CELLS})
+    candidates = sorted({cells(key) for key in calls} | {kernels.GF2_PACKED_MIN_CELLS})
     best = min(candidates, key=dispatched)
     print(f"mix at GF2_PACKED_MIN_CELLS = {kernels.GF2_PACKED_MIN_CELLS}: "
           f"{dispatched(kernels.GF2_PACKED_MIN_CELLS) * 1e3:.2f}ms; "
@@ -202,7 +243,8 @@ def batch_table(rng):
             t_batch = bench(kernels.rank_mod_batch, a, q)
             row = f"{f'q={q} {n}x{n}':20s} {t_loop * 1e3:12.3f}ms {t_batch * 1e3:8.3f}ms {t_loop / t_batch:7.1f}x"
             if q == 2:
-                row += f" {bench(kernels._rank_batch_generic, a, q) * 1e3:14.3f}ms"
+                t_gen = bench(lambda: kernels._eliminate_batch(kernels._columns(a, q), q, rref=False))
+                row += f" {t_gen * 1e3:14.3f}ms"
             print(row)
 
 
@@ -264,6 +306,7 @@ def main():
     generic_table(rng, args.quick)
     encoder_table(args.quick)
     decode_round_table(args.quick)
+    decoder_round_table()
     packed_table(rng, args.quick)
     call_mix()
     batch_table(rng)

@@ -346,6 +346,30 @@ def population_de_run(
 # ---------------------------------------------------------------------------
 
 
+def _binomial_pmf(k: int, n: int, p: float) -> float:
+    if p == 0.0 or p == 1.0:
+        return float(k == n * p)
+    return math.exp(
+        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        + k * math.log(p) + (n - k) * math.log1p(-p)
+    )
+
+
+def _binomial_tail_exceeds(k: int, n: int, p: float, level: float) -> bool:
+    """P{Binomial(n, p) >= k} > level, for k above the mean n p: the terms
+    fall from k on, so the sum stops once it passes the level or a term
+    underflows."""
+    total = 0.0
+    for j in range(k, n + 1):
+        term = _binomial_pmf(j, n, p)
+        total += term
+        if total > level:
+            return True
+        if term == 0.0:
+            break
+    return False
+
+
 @dataclass(frozen=True)
 class DeviationReport:
     m: int
@@ -359,8 +383,19 @@ class DeviationReport:
     excess_count: int
     excess_freq: float
     bound: float
-    margin: float
+    level: float
     passed: bool
+
+    @property
+    def margin(self) -> float:
+        """Largest excess of the frequency over the bound that passes: the
+        counts k with P{Binomial(trials, bound) >= k} > level pass."""
+        n, total = self.trials, 0.0
+        for k in range(n, -1, -1):
+            total += _binomial_pmf(k, n, self.bound)
+            if total > self.level:
+                return max(0.0, k / n - self.bound)
+        return 0.0
 
 
 def intersection_excess_bound(d1: int, d2: int, slack_k: int, m: int, q: int) -> float:
@@ -400,10 +435,11 @@ def deviation_bound_check(
     """Sample V2 uniform given fixed V1 and test the intersection-dimension
     floor and tail bound empirically.
 
-    z_margin is the number of binomial sigmas allowed above the bound; leave
-    at 3 for a single cell, raise to ~5 for grid sweeps (33k simultaneous
-    cells at 3 sigma would produce false failures at the cells where the
-    Markov bound is tight, e.g. d2 = m-1).
+    A cell fails when its excess count has an exact binomial upper tail at
+    the bound of at most Phi(-z_margin), the normal tail beyond z_margin
+    sigmas; leave z_margin at 3 for a single cell, raise it to ~5 for grid
+    sweeps (33k simultaneous cells at 3 sigma would produce false failures
+    at the cells where the Markov bound is tight, e.g. d2 = m-1).
     """
     _check_dim(d1, m, "d1")
     _check_dim(d2, m, "d2")
@@ -435,10 +471,12 @@ def evaluate_deviation(
     excess_count = int((dims >= floor + slack_k).sum())
     excess_freq = excess_count / trials
     bound = intersection_excess_bound(d1, d2, slack_k, m, q)
-    # z sigmas at the bound plus a 2/trials discreteness allowance (the
-    # frequency is quantized in 1/trials steps)
-    margin = z_margin * math.sqrt(bound * (1.0 - bound) / trials) + 2.0 / trials
-    passed = floor_violations == 0 and excess_freq <= bound + margin
+    # the true probability is at most the bound, so the count is at most
+    # Binomial(trials, bound) in law, and its exact tail is the p-value
+    level = 0.5 * math.erfc(z_margin / math.sqrt(2.0))
+    passed = floor_violations == 0 and (
+        excess_freq <= bound or _binomial_tail_exceeds(excess_count, trials, bound, level)
+    )
     return DeviationReport(
         m=m,
         d1=d1,
@@ -451,7 +489,7 @@ def evaluate_deviation(
         excess_count=excess_count,
         excess_freq=excess_freq,
         bound=bound,
-        margin=margin,
+        level=level,
         passed=passed,
     )
 

@@ -11,6 +11,9 @@ decoder works in coordinates over W's RREF basis U: x_i = a_i + c_i U with a_i
 the residue of y_i modulo W.  Check a's equation sum_i x_i h_i = 0 becomes
 sum_i c_i G_i = b_a with G_i = U h_i and b_a = -sum_i a_i h_i, and a round is
 one ``preimage`` per directed edge: no label inverse and no anchor meet.
+All of a round's preimages share the width m + 1 + s, so a round is one
+``preimage_batch`` call, and so is each decision's set of pairwise
+intersections in F_q^s.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from .channel import SncParams
 from .ensemble import LiftedCode, constrained_rows
 from .kernels import DTYPE, matmul_mod
-from .linalg import AffineSubspace, Subspace, as_matrix, preimage, row_space
+from .linalg import AffineSubspace, Subspace, as_matrix, preimage_batch, row_space
 
 
 class EmptyIntersectionFault(RuntimeError):
@@ -133,14 +136,18 @@ def iterate(state: MessageState, code: LiftedCode) -> MessageState:
         matmul_mod(np.vstack([c.offset, c.direction.basis]), g, q)
         for c, g in zip(state.coords, state.gains)
     ]
-    check_out = [None] * graph.n_e
+    edges, items = [], []
     for a, edges_of_a in enumerate(graph.check_edges()):
         rest = state.targets[a] - sum(imaged[e][0] for e in edges_of_a)
         for e in edges_of_a:
             stacked = np.vstack([rest + imaged[e][0], *(imaged[j][1:] for j in edges_of_a if j != e)])
-            check_out[e] = preimage(state.gains[e], stacked[0], stacked[1:], q)
-            if check_out[e] is None:
-                raise EmptyIntersectionFault(f"empty check output on edge {e}, iteration {state.t + 1}")
+            edges.append(e)
+            items.append((state.gains[e], stacked[0], stacked[1:]))
+    check_out = [None] * graph.n_e
+    for e, out in zip(edges, preimage_batch(items, q)):
+        if out is None:
+            raise EmptyIntersectionFault(f"empty check output on edge {e}, iteration {state.t + 1}")
+        check_out[e] = out
     new_coords = [None] * graph.n_e
     for e1, e2 in graph.var_edges():
         new_coords[e1], new_coords[e2] = check_out[e2], check_out[e1]
@@ -152,18 +159,24 @@ def decide(state: MessageState, code: LiftedCode) -> Tuple[np.ndarray, np.ndarra
 
     Returns (x_hat, determined); zero-padded rows are always determined as 0.
     """
-    m, l = code.params.m, code.params.l
+    q, m, l = code.params.q, code.params.m, code.params.l
     x_hat = np.zeros((l, m), dtype=DTYPE)
     determined = np.zeros(l, dtype=bool)
     determined[code.n_v :] = True
-    for v, (e1, e2) in enumerate(code.graph.var_edges()):
-        inter = state.coords[e1].intersect(state.coords[e2])
-        if inter is None:
+    # coords[e1] & coords[e2] as AffineSubspace.intersect forms it, batched
+    var_edges, coords = code.graph.var_edges(), state.coords
+    items = [
+        (coords[e1].direction.basis, (coords[e2].offset - coords[e1].offset) % q, coords[e2].direction.basis)
+        for e1, e2 in var_edges
+    ]
+    for v, ((e1, _), meet) in enumerate(zip(var_edges, preimage_batch(items, q))):
+        if meet is None:
             raise EmptyIntersectionFault(
                 f"empty decision intersection at variable {v}, iteration {state.t}"
             )
-        if inter.dim == 0:
+        if meet.dim == 0:
             determined[v] = True
+            inter = AffineSubspace.from_coords(coords[e1].offset, meet, coords[e1].direction)
             x_hat[v] = AffineSubspace.from_coords(state.offsets[e1], inter, state.w).offset
     return x_hat, determined
 

@@ -14,7 +14,7 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .kernels import DTYPE, matmul_mod, rank_mod, rank_mod_batch, rref_mod
+from .kernels import DTYPE, matmul_mod, rank_mod, rank_mod_batch, rref_mod, rref_mod_batch
 
 Q_MAX = 1 << 16
 # Candidate entries random_full_rank_stack draws at once: one block for 48
@@ -281,6 +281,8 @@ class Subspace:
         The basis is RREF, so row i is the only one nonzero at its pivot and
         the residue is v minus v's pivot coordinates times the basis."""
         v = np.asarray(v, dtype=DTYPE) % self.q
+        if self.dim == 0:
+            return v
         pivots = np.argmax(self.basis != 0, axis=1)
         return (v - v[pivots] @ self.basis) % self.q
 
@@ -470,19 +472,43 @@ def preimage(g: np.ndarray, p: np.ndarray, rows: np.ndarray, q: int) -> Optional
     flag column is a pivot; the flag row then holds a member c and the rows
     below the RREF basis C of the direction, and c is zero at C's pivots.
     """
-    k, m = g.shape
-    block = np.zeros((k + rows.shape[0] + 1, m + 1 + k), dtype=DTYPE)
-    block[:k, :m] = g
-    block[:k, m + 1 :] = np.eye(k, dtype=DTYPE)
-    block[k:-1, :m] = rows
-    block[-1, :m] = -p % q
-    block[-1, m] = 1
-    r, rk, piv = rref_mod(block, q)
-    j = int(np.searchsorted(piv, m))
-    if j == rk or piv[j] != m:
-        return None
-    coords = r[j:rk, m + 1 :]
-    return AffineSubspace(coords[0], Subspace(coords[1:], q, k))
+    return preimage_batch([(g, p, rows)], q)[0]
+
+
+def preimage_batch(items: list, q: int) -> list:
+    """``[preimage(g, p, rows, q) for g, p, rows in items]`` from one
+    ``rref_mod_batch`` call; every g has the same width m.
+
+    Each item's block sits in a stack wide and tall enough for the largest
+    k and row count: g's rows and the identity fill the top k of k_max rows
+    and the first k right columns, ``rows`` the next rows, and the flag row
+    comes last.  The zero rows and columns this leaves do not change a
+    block's RREF.
+    """
+    if not items:
+        return []
+    m = items[0][0].shape[1]
+    ks = np.array([g.shape[0] for g, _, _ in items])
+    k_max = int(ks.max())
+    n_max = max(rows.shape[0] for _, _, rows in items)
+    block = np.zeros((len(items), k_max + n_max + 1, m + 1 + k_max), dtype=np.min_scalar_type(q - 1))
+    diag = np.arange(k_max)
+    block[:, diag, m + 1 + diag] = diag < ks[:, None]
+    block[:, -1, m] = 1
+    for b, (g, p, rows) in enumerate(items):
+        block[b, : g.shape[0], :m] = g
+        block[b, k_max : k_max + rows.shape[0], :m] = rows
+        block[b, -1, :m] = -p % q
+    r, ranks, pivots = rref_mod_batch(block, q)
+    out = []
+    for b, k in enumerate(ks):
+        j = int(np.searchsorted(pivots[b], m))
+        if j == ranks[b] or pivots[b, j] != m:
+            out.append(None)
+            continue
+        coords = r[b, j : ranks[b], m + 1 : m + 1 + k].astype(DTYPE)
+        out.append(AffineSubspace(coords[0], Subspace(coords[1:], q, int(k))))
+    return out
 
 
 def affine_image(a: AffineSubspace, h: np.ndarray) -> AffineSubspace:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
+from scipy.stats import binom, chi2
 
 from snclab import de, linalg
 from snclab.degrees import EdgeDegreeDistribution, rho_star
@@ -408,6 +408,42 @@ def test_evaluate_deviation_flags_violations():
     rep_floor = evaluate_deviation(4, 4, 4, 1, 2, np.array([3, 4]))
     assert rep_floor.floor_violations == 1
     assert not rep_floor.passed
+
+
+def test_deviation_gate_is_the_exact_binomial_tail():
+    # every excess count of the cell a normal-approximation margin failed
+    # falsely (34 of 128 at bound 242/2186, tail 9.2e-7): a count passes
+    # iff it is at most the bound or its Binomial(128, bound) upper tail is
+    # above Phi(-5)
+    m, d1, d2, slack, q, trials = 7, 5, 1, 1, 3, 128
+    level = 0.5 * math.erfc(5 / math.sqrt(2))
+    passing = []
+    for k in range(trials + 1):
+        dims = np.array([1] * k + [0] * (trials - k))
+        rep = evaluate_deviation(m, d1, d2, slack, q, dims, z_margin=5.0)
+        assert rep.bound == pytest.approx(242 / 2186)
+        assert rep.passed == (k / trials <= rep.bound or binom.sf(k - 1, trials, rep.bound) > level)
+        assert rep.passed == (rep.excess_freq <= rep.bound + rep.margin)
+        passing.append(rep.passed)
+    assert passing[34]
+    assert passing.index(False) > 34 and not any(passing[passing.index(False):])
+
+
+def test_deviation_grid_rejects_a_sampler_off_by_one_dimension():
+    # the grid's gate still sees a sampler that draws V2 one dimension too
+    # large: intersections too large too often, with no floor violation
+    rng = np.random.default_rng(8)
+    failures = 0
+    for q in (2, 3):
+        for m in range(1, 6):
+            for d1 in range(m + 1):
+                for d2 in range(m):
+                    dims = sample_intersection_dims(m, d1, d2 + 1, q, 128, rng)
+                    for slack in range(1, 5):
+                        rep = evaluate_deviation(m, d1, d2, slack, q, dims, z_margin=5.0)
+                        assert rep.floor_violations == 0
+                        failures += not rep.passed
+    assert failures >= 50
 
 
 # ---------------------------------------------------------------------------

@@ -280,12 +280,14 @@ def test_check_node_matches_prefix_suffix_loop(case, monkeypatch):
     degrees = [len(edges) for edges in code.graph.check_edges()]
     if case == "q2 rho*(2,5) N24":
         assert 2 in degrees
-    m = code.params.m
     calls = []
     for module in (linalg, ensemble):
         monkeypatch.setattr(
             module, "rref_mod", lambda a, q: calls.append(np.shape(a)) or kernels.rref_mod(a, q)
         )
+    monkeypatch.setattr(
+        linalg, "rref_mod_batch", lambda a, q: calls.append(("batch", len(a))) or kernels.rref_mod_batch(a, q)
+    )
     for name in ("add", "image"):
         op = getattr(AffineSubspace, name)
         monkeypatch.setattr(
@@ -296,10 +298,9 @@ def test_check_node_matches_prefix_suffix_loop(case, monkeypatch):
         want = reference_iterate(state, code, y, w)
         calls.clear()
         state = iterate(state, code)
-        # one elimination per directed edge, its check output's preimage, and
-        # no m x 2m label inversion
-        assert len(calls) == code.graph.n_e
-        assert all(isinstance(c, tuple) and c != (m, 2 * m) for c in calls)
+        # one batched elimination of every directed edge's preimage, and no
+        # other elimination (no m x 2m label inversion)
+        assert calls == [("batch", code.graph.n_e)]
         assert state.t == t
         assert state.messages == want
         if decide(state, code)[1].all():
@@ -324,6 +325,24 @@ def test_decode_noiseless_exact_at_t0():
     assert res.all_determined
     assert np.array_equal(res.x_hat, x)
     assert symbol_error_rate(res, x) == 0.0
+
+
+def test_decode_without_noise_decides_in_the_zero_space():
+    # omega = 0 makes W = 0 and s = 0: every message is the one coset of
+    # F_q^0, and the decision intersects them there
+    p = validate_params(3, 24, Fraction(1, 2), Fraction(0))
+    rng = np.random.default_rng(6)
+    code = build_code(p, 3, 6, rng)
+    x = encode(code, rng.integers(0, p.q, size=code.info_length(), dtype=np.int64))
+    y = transmit(x, p, rng).y
+    w = recover_noise_space(y, p, code.omega_prime)
+    assert w.dim == 0
+    state = init_messages(y, w, code)
+    point = AffineSubspace.from_offset(np.zeros(0, dtype=np.int64), Subspace.zero(0, p.q))
+    assert all(c == point for c in state.coords)
+    x_hat, determined = decide(state, code)
+    assert determined.all()
+    assert np.array_equal(x_hat, x)
 
 
 def test_decode_never_wrong_and_truth_contained():

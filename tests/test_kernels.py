@@ -244,8 +244,9 @@ def test_backend_variable_is_inert():
 
 
 def test_rank_mod_batch_rejects_non_stack():
-    with pytest.raises(ValueError):
-        kernels.rank_mod_batch(np.zeros((2, 3), dtype=np.int64), 2)
+    for batched in (kernels.rank_mod_batch, kernels.rref_mod_batch):
+        with pytest.raises(ValueError):
+            batched(np.zeros((2, 3), dtype=np.int64), 2)
 
 
 # q = 2 takes the one-word packed path up to 64 columns and the generic one past it
@@ -297,3 +298,46 @@ def test_rank_mod_batch_narrow_input_matches_int64(q, dtype, batch, rows, cols, 
     assert got.dtype == np.int64
     assert got.tolist() == kernels.rank_mod_batch(a, q).tolist()
     assert np.array_equal(narrow, a)
+
+
+# q = 65521 takes the int64 work dtype; q = 2 the one-word path up to 64
+# columns and the generic one past it; zero padding and all-zero matrices as
+# the decoder's mixed-k stacks have them
+@settings(max_examples=200, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 5, 7, 65521]),
+    dtype=st.sampled_from([np.uint8, np.uint16, np.int64]),
+    batch=st.sampled_from([0, 1]) | st.integers(2, 10),
+    rows=st.integers(0, 14),
+    cols=st.sampled_from([0, 1, 49, 63, 64, 65, 80]) | st.integers(1, 20),
+    density=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    rank=st.none() | st.integers(0, 6),
+    pad=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rref_mod_batch_matches_rref_mod_loop(q, dtype, batch, rows, cols, density, rank, pad, seed):
+    rng = np.random.default_rng(seed)
+    top = min(q, np.iinfo(dtype).max + 1)
+
+    def sparse(shape):
+        return (rng.random(shape) < density) * rng.integers(1, top, shape)
+
+    if rank is None:
+        a = sparse((batch, rows, cols))
+    else:  # products of thin factors: rank at most `rank`
+        a = (sparse((batch, rows, rank)) @ sparse((batch, rank, cols))) % q % top
+    # zero rows below and zero columns right, each matrix its own amount
+    for b in range(batch):
+        a[b, rows - min(pad[0] + b % 3, rows) :] = 0
+        a[b, :, cols - min(pad[1] + b % 2, cols) :] = 0
+    a = a.astype(dtype)
+    before = a.copy()
+    r, ranks, pivots = kernels.rref_mod_batch(a, q)
+    assert r.shape == a.shape and ranks.shape == (batch,) and pivots.shape == (batch, rows)
+    assert ranks.dtype == np.int64 and pivots.dtype == np.int64
+    for b in range(batch):
+        want, rk, piv = kernels.rref_mod(a[b], q)
+        assert np.array_equal(r[b], want)
+        assert ranks[b] == rk
+        assert pivots[b].tolist() == piv.tolist() + [cols] * (rows - rk)
+    assert np.array_equal(a, before)

@@ -634,6 +634,43 @@ def test_meet_matches_reference_at_decoder_shape(q):
     assert outcomes == {"disjoint", "point", "coset"}
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_preimage_batch_matches_preimage_loop(q):
+    # one stack of every k from 0 to m, every kind of spanning set and points
+    # on and off the set, as in the decoder's mixed-k decision stacks
+    rng = np.random.default_rng(90 + q)
+    m = 6
+    items = []
+    for i in range(42):
+        k = i % (m + 1)
+        g = _injective_non_rref(k, m, q, rng)
+        rows = MEET_ROWS[sorted(MEET_ROWS)[i % len(MEET_ROWS)]](m, q, rng)
+        p = rng.integers(0, q, size=m, dtype=np.int64)
+        if i % 2:
+            p = (rng.integers(0, q, size=k) @ g + rng.integers(0, q, size=rows.shape[0]) @ rows) % q
+        items.append((g, p, rows))
+    got = linalg.preimage_batch(items, q)
+    want = [preimage(g, p, rows, q) for g, p, rows in items]
+    assert got == want
+    assert {res is None for res in want} == {True, False}
+    assert any(res is not None and res.ambient == 0 for res in want)
+    assert linalg.preimage_batch([], q) == []
+
+
+def test_coset_of_zero_dimensional_space():
+    # F_q^0 holds one vector, the empty one; a decision at s = 0 is a preimage
+    # with k = m = 0
+    for q in (2, 3):
+        zero = Subspace.zero(0, q)
+        empty = np.zeros(0, dtype=np.int64)
+        assert zero.reduce(empty).shape == (0,)
+        assert zero == Subspace.full(0, q) and zero.contains(empty)
+        coset = AffineSubspace.from_offset(empty, zero)
+        assert coset.is_point() and coset.contains(empty)
+        assert coset.intersect(coset) == coset
+        assert preimage(np.zeros((0, 0), dtype=np.int64), empty, np.zeros((0, 0), dtype=np.int64), q) == coset
+
+
 def test_one_elimination_per_subspace_operation(monkeypatch):
     calls = []
 
@@ -641,7 +678,12 @@ def test_one_elimination_per_subspace_operation(monkeypatch):
         calls.append(np.shape(a))
         return kernels.rref_mod(a, q)
 
+    def counting_batch(a, q):
+        calls.extend(np.shape(b) for b in a)
+        return kernels.rref_mod_batch(a, q)
+
     monkeypatch.setattr(linalg, "rref_mod", counting)
+    monkeypatch.setattr(linalg, "rref_mod_batch", counting_batch)
     rng = np.random.default_rng(14)
     q, m = 3, 6
     u = row_space(random_rank_matrix(3, m, 3, q, rng), q)
